@@ -184,7 +184,7 @@ impl TgnModel {
             } else {
                 (format!("attn{l}"), format!("combine{l}"))
             };
-            let attn = TemporalAttention::new(
+            let mut attn = TemporalAttention::new(
                 &mut params,
                 &attn_name,
                 q_dim,
@@ -193,6 +193,11 @@ impl TgnModel {
                 fanout,
                 rng,
             );
+            if !cfg.learnable_time {
+                // Only the node states carry a gradient: edge features
+                // are data and Φ has no parameters to reach.
+                attn = attn.with_input_grad_cols(in_dim);
+            }
             let combine = Linear::new(
                 &mut params,
                 &combine_name,
@@ -429,16 +434,18 @@ impl TgnModel {
                 // {h_{d+1} || E || Φ(Δt)}.
                 let q_feat = Matrix::hcat(&[h_d, &phi0[d]]);
                 let kv_feat = Matrix::hcat(&[h_d1, &nbr_feats[d], &phi_dts[d]]);
+                // The caches take the feature matrices over: nothing
+                // is copied for a backward pass that may never run.
                 let (h_att, attn_cache) = layer.attn.forward_slots(
                     &self.params,
-                    &q_feat,
-                    &kv_feat,
+                    q_feat,
+                    kv_feat,
                     &hops[d].counts,
                     hops[d].k,
                 );
                 // Combine layer with ReLU.
                 let x = Matrix::hcat(&[h_d, &h_att]);
-                let (z, combine_cache) = layer.combine.forward(&self.params, &x);
+                let (z, combine_cache) = layer.combine.forward(&self.params, x);
                 next.push(z.relu());
                 layer_caches.push(DepthCache {
                     attn_cache,
@@ -521,25 +528,26 @@ impl TgnModel {
                 let mut d_state = dx.slice_cols(0, in_dim);
                 let d_h = dx.slice_cols(in_dim, dx.cols());
 
-                let (dq_feat, dkv_feat) =
+                // Both gradients stop at the state columns unless the
+                // time encoder is learnable (see `TgnModel::new`); only
+                // then is there a Φ block behind them to split off.
+                let (mut dq_state, mut d_kv_state) =
                     layer.attn.backward(&mut self.params, &dc.attn_cache, &d_h);
-                d_state.add_assign(&dq_feat.slice_cols(0, in_dim));
                 if self.cfg.learnable_time {
                     let zeros = vec![0.0f32; sizes[d]];
-                    let dphi0 = dq_feat.slice_cols(in_dim, in_dim + self.cfg.d_time);
+                    let dphi0 = dq_state.slice_cols(in_dim, in_dim + self.cfg.d_time);
                     self.time_enc.backward(&mut self.params, &zeros, &dphi0);
+                    let start = in_dim + self.cfg.d_edge;
+                    let dphi = d_kv_state.slice_cols(start, start + self.cfg.d_time);
+                    self.time_enc
+                        .backward(&mut self.params, &cache.slot_dts[d], &dphi);
+                    dq_state = dq_state.slice_cols(0, in_dim);
+                    d_kv_state = d_kv_state.slice_cols(0, in_dim);
                 }
+                d_state.add_assign(&dq_state);
                 match &mut g_prev[d] {
                     Some(m) => m.add_assign(&d_state),
                     None => g_prev[d] = Some(d_state),
-                }
-
-                let d_kv_state = dkv_feat.slice_cols(0, in_dim);
-                if self.cfg.learnable_time {
-                    let start = in_dim + self.cfg.d_edge;
-                    let dphi = dkv_feat.slice_cols(start, start + self.cfg.d_time);
-                    self.time_enc
-                        .backward(&mut self.params, &cache.slot_dts[d], &dphi);
                 }
                 debug_assert_eq!(d_kv_state.rows(), sizes[d + 1]);
                 match &mut g_prev[d + 1] {
@@ -1156,6 +1164,53 @@ mod tests {
         assert_eq!(wa.nodes, wb.nodes);
         assert_eq!(wa.mail, wb.mail);
         assert_eq!(wa.mem, wb.mem);
+    }
+
+    /// The attention gradient window is `d_mem` columns with a fixed
+    /// time encoder and the full feature width with a learnable one.
+    /// Same seed ⇒ same weights and same forward, so every gradient the
+    /// two models share must agree bit for bit — the window drops
+    /// columns, it never changes one — while only the learnable model
+    /// reaches ω/φ (through the widened window).
+    #[test]
+    fn gradient_window_widens_for_learnable_time_and_moves_nothing_else() {
+        let (d, csr, cfg) = setup();
+        let mut learnable = cfg.clone();
+        learnable.learnable_time = true;
+        let store = NegativeStore::generate(&d.graph, 64, 1, 1, 3);
+        let grads = |cfg: &ModelConfig| {
+            let mut model = TgnModel::new(cfg.clone(), &mut seeded_rng(12));
+            let prep = BatchPreparer::new(&d, &csr, cfg);
+            let mut mem = MemoryState::new(d.graph.num_nodes(), cfg.d_mem, cfg.mail_dim());
+            // Two steps, so the second reads non-trivial memory, mails
+            // and Δt.
+            for range in [0..32usize, 32..64] {
+                let batch = prep.prepare(range.clone(), &[store.slice(0, range)], 1, &mut mem);
+                model.params.zero_grads();
+                let out = model.train_step(&batch.pos, Some(&batch.negs[0]), None);
+                MemoryAccess::write(&mut mem, out.write);
+            }
+            model.params
+        };
+        let (fixed, learned) = (grads(&cfg), grads(&learnable));
+        assert_eq!(fixed.len(), learned.len());
+        for idx in 0..fixed.len() {
+            let (f, l) = (&fixed.get(idx).g, &learned.get(idx).g);
+            if fixed.name(idx).starts_with("time.") {
+                assert!(
+                    f.as_slice().iter().all(|&g| g == 0.0),
+                    "fixed Φ got a gradient"
+                );
+                assert!(
+                    l.as_slice().iter().any(|&g| g != 0.0),
+                    "learnable Φ got none"
+                );
+            } else {
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(f), bits(l), "{}", fixed.name(idx));
+            }
+        }
     }
 
     #[test]

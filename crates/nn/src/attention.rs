@@ -20,11 +20,12 @@
 //! differ) with shared weights; [`TemporalAttention::forward`] keeps
 //! the fixed-`n_slots` signature for single-hop callers.
 
-use crate::linear::{Linear, LinearCache};
+use crate::linear::Linear;
 use crate::param::ParamSet;
 use disttgl_tensor::timing::{scope, Kernel};
 use disttgl_tensor::{kernels, Matrix};
 use rand::Rng;
+use std::borrow::Borrow;
 
 /// Temporal attention layer. `q_dim = d_mem + d_time`,
 /// `kv_dim = d_mem + d_edge + d_time`, output width `d_head`.
@@ -35,16 +36,22 @@ pub struct TemporalAttention {
     w_v: Linear,
     n_slots: usize,
     d_head: usize,
+    /// Leading feature columns that receive a gradient; `None` = all.
+    grad_cols: Option<usize>,
 }
 
-/// Forward state for the backward pass.
-pub struct AttentionCache {
-    q_cache: LinearCache,
-    k_cache: LinearCache,
-    v_cache: LinearCache,
+/// Forward state for the backward pass. `M` is how the two feature
+/// inputs are held — moved in (`Matrix`) or lent (`&Matrix`), never
+/// copied; see [`crate::LinearCache`].
+pub struct AttentionCache<M = Matrix> {
+    q_feat: M,
+    kv_feat: M,
     q: Matrix,
-    k: Matrix,
-    v: Matrix,
+    /// `[K ‖ V]`, `(B·N) × 2·d_head`: row `b·N + s` holds slot `s`'s key
+    /// in the leading `d_head` columns and its value in the trailing
+    /// ones. Rows of masked slots are never projected (they stay zero)
+    /// and never read.
+    kv: Matrix,
     /// Post-softmax attention weights, `B × N`.
     attn: Matrix,
     /// Actual neighbor count per root.
@@ -75,7 +82,26 @@ impl TemporalAttention {
             w_v,
             n_slots,
             d_head,
+            grad_cols: None,
         }
+    }
+
+    /// Declares that only the leading `cols` columns of `q_feat` and of
+    /// `kv_feat` — the node states — are differentiable; the edge
+    /// features and (unless the time encoder is learnable) `Φ` columns
+    /// behind them are data. [`TemporalAttention::backward`] then
+    /// returns `B × cols` / `(B·N) × cols` gradients, bit-identical to
+    /// the leading columns of the full ones, without computing the rest.
+    ///
+    /// # Panics
+    /// Panics if either feature width is below `cols`.
+    pub fn with_input_grad_cols(mut self, cols: usize) -> Self {
+        assert!(
+            cols <= self.w_q.in_dim().min(self.w_k.in_dim()),
+            "attention: gradient window {cols}"
+        );
+        self.grad_cols = Some(cols);
+        self
     }
 
     /// Neighbor slots per root.
@@ -96,14 +122,15 @@ impl TemporalAttention {
     /// * `counts[b]` — number of valid slots for root `b` (valid slots
     ///   must be the *first* `counts[b]` of the block).
     ///
-    /// Returns `B × d_head` embeddings and the backward cache.
-    pub fn forward(
+    /// Returns `B × d_head` embeddings and the backward cache, which
+    /// keeps the two inputs as given (owned or borrowed).
+    pub fn forward<M: Borrow<Matrix>>(
         &self,
         params: &ParamSet,
-        q_feat: &Matrix,
-        kv_feat: &Matrix,
+        q_feat: M,
+        kv_feat: M,
         counts: &[usize],
-    ) -> (Matrix, AttentionCache) {
+    ) -> (Matrix, AttentionCache<M>) {
         self.forward_slots(params, q_feat, kv_feat, counts, self.n_slots)
     }
 
@@ -111,21 +138,24 @@ impl TemporalAttention {
     /// the multi-hop entry point (`kv_feat` has `B · n_slots` rows).
     /// Identical math; the cache remembers the slot count so
     /// [`TemporalAttention::backward`] needs no extra argument.
-    pub fn forward_slots(
+    pub fn forward_slots<M: Borrow<Matrix>>(
         &self,
         params: &ParamSet,
-        q_feat: &Matrix,
-        kv_feat: &Matrix,
+        q_feat: M,
+        kv_feat: M,
         counts: &[usize],
         n_slots: usize,
-    ) -> (Matrix, AttentionCache) {
-        let b = q_feat.rows();
+    ) -> (Matrix, AttentionCache<M>) {
+        let d = self.d_head;
+        let b = q_feat.borrow().rows();
         assert_eq!(counts.len(), b, "attention: counts length");
-        assert_eq!(kv_feat.rows(), b * n_slots, "attention: kv rows");
+        assert_eq!(kv_feat.borrow().rows(), b * n_slots, "attention: kv rows");
 
-        let (q, q_cache) = self.w_q.forward(params, q_feat);
-        let (k, k_cache) = self.w_k.forward(params, kv_feat);
-        let (v, v_cache) = self.w_v.forward(params, kv_feat);
+        let q = self.w_q.infer(params, q_feat.borrow());
+        // K and V in one pass over `kv_feat`, valid slots only.
+        let kv = Linear::forward_fused([self.w_k, self.w_v], params, kv_feat.borrow(), |r| {
+            r % n_slots < counts[r / n_slots]
+        });
 
         // Scores with per-root scaling and masking: each score is a
         // laned q·k dot (the masked-slot structure makes this a
@@ -143,7 +173,7 @@ impl TemporalAttention {
                 let q_row = q.row(bi);
                 for s in 0..n_slots {
                     let val = if s < cnt {
-                        kernels::dot(q_row, k.row(bi * n_slots + s)) * scale
+                        kernels::dot(q_row, &kv.row(bi * n_slots + s)[..d]) * scale
                     } else {
                         -1e9
                     };
@@ -154,28 +184,22 @@ impl TemporalAttention {
         let attn = scores.softmax_rows();
 
         // h = attn · V (per root block), zeroed for isolated roots.
-        let mut h = Matrix::zeros(b, self.d_head);
+        let mut h = Matrix::zeros(b, d);
         {
             let _t = scope(Kernel::Matmul);
             for (bi, &count) in counts.iter().enumerate() {
-                let cnt = count.min(n_slots);
-                if cnt == 0 {
-                    continue;
-                }
                 let out = h.row_mut(bi);
-                for s in 0..cnt {
-                    kernels::axpy(out, attn.get(bi, s), v.row(bi * n_slots + s));
+                for s in 0..count.min(n_slots) {
+                    kernels::axpy(out, attn.get(bi, s), &kv.row(bi * n_slots + s)[d..]);
                 }
             }
         }
 
         let cache = AttentionCache {
-            q_cache,
-            k_cache,
-            v_cache,
+            q_feat,
+            kv_feat,
             q,
-            k,
-            v,
+            kv,
             attn,
             counts: counts.to_vec(),
             n_slots,
@@ -183,7 +207,8 @@ impl TemporalAttention {
         (h, cache)
     }
 
-    /// Inference-only forward.
+    /// Inference-only forward: the one forward over borrowed inputs,
+    /// its cache (no copies of anything) dropped.
     pub fn infer(
         &self,
         params: &ParamSet,
@@ -195,36 +220,35 @@ impl TemporalAttention {
     }
 
     /// Backward pass: accumulates Wq/Wk/Wv gradients and returns
-    /// `(dq_feat, dkv_feat)`.
-    pub fn backward(
+    /// `(dq_feat, dkv_feat)` over the differentiable input columns
+    /// (all of them unless [`TemporalAttention::with_input_grad_cols`]
+    /// narrowed the window).
+    pub fn backward<M: Borrow<Matrix>>(
         &self,
         params: &mut ParamSet,
-        cache: &AttentionCache,
+        cache: &AttentionCache<M>,
         dh: &Matrix,
     ) -> (Matrix, Matrix) {
         let b = dh.rows();
         let n = cache.n_slots;
-        assert_eq!(dh.cols(), self.d_head, "attention backward: width");
+        let d = self.d_head;
+        assert_eq!(dh.cols(), d, "attention backward: width");
 
+        // `[dK ‖ dV]`, laid out like `cache.kv`.
+        let mut dkv = Matrix::zeros(b * n, 2 * d);
         let mut d_attn = Matrix::zeros(b, n);
-        let mut dv = Matrix::zeros(b * n, self.d_head);
         for bi in 0..b {
-            let cnt = cache.counts[bi].min(n);
-            if cnt == 0 {
-                continue;
-            }
             let dh_row = dh.row(bi);
-            for s in 0..cnt {
-                d_attn.set(bi, s, kernels::dot(dh_row, cache.v.row(bi * n + s)));
+            for s in 0..cache.counts[bi].min(n) {
+                d_attn.set(bi, s, kernels::dot(dh_row, &cache.kv.row(bi * n + s)[d..]));
                 let w = cache.attn.get(bi, s);
-                kernels::axpy(dv.row_mut(bi * n + s), w, dh_row);
+                kernels::axpy(&mut dkv.row_mut(bi * n + s)[d..], w, dh_row);
             }
         }
 
         // Softmax backward then undo the score scaling.
         let d_scores = cache.attn.softmax_rows_backward(&d_attn);
-        let mut dq = Matrix::zeros(b, self.d_head);
-        let mut dk = Matrix::zeros(b * n, self.d_head);
+        let mut dq = Matrix::zeros(b, d);
         for bi in 0..b {
             let cnt = cache.counts[bi].min(n);
             if cnt == 0 {
@@ -233,15 +257,16 @@ impl TemporalAttention {
             let scale = 1.0 / (cnt as f32).sqrt();
             for s in 0..cnt {
                 let ds = d_scores.get(bi, s) * scale;
-                kernels::axpy(dq.row_mut(bi), ds, cache.k.row(bi * n + s));
-                kernels::axpy(dk.row_mut(bi * n + s), ds, cache.q.row(bi));
+                kernels::axpy(dq.row_mut(bi), ds, &cache.kv.row(bi * n + s)[..d]);
+                kernels::axpy(&mut dkv.row_mut(bi * n + s)[..d], ds, cache.q.row(bi));
             }
         }
 
-        let dq_feat = self.w_q.backward(params, &cache.q_cache, &dq);
-        let dk_feat = self.w_k.backward(params, &cache.k_cache, &dk);
-        let mut dkv_feat = self.w_v.backward(params, &cache.v_cache, &dv);
-        dkv_feat.add_assign(&dk_feat);
+        let (q_feat, kv_feat) = (cache.q_feat.borrow(), cache.kv_feat.borrow());
+        let q_cols = self.grad_cols.unwrap_or(q_feat.cols());
+        let kv_cols = self.grad_cols.unwrap_or(kv_feat.cols());
+        let dq_feat = Linear::backward_fused([self.w_q], params, q_feat, &dq, q_cols);
+        let dkv_feat = Linear::backward_fused([self.w_k, self.w_v], params, kv_feat, &dkv, kv_cols);
         (dq_feat, dkv_feat)
     }
 }
@@ -292,7 +317,7 @@ mod tests {
         let (h, cache) = att.forward(&ps, &qf, &kvf, &[1]);
         assert!((cache.attn.get(0, 0) - 1.0).abs() < 1e-5);
         // Output equals V of the single neighbor.
-        for (hv, vv) in h.row(0).iter().zip(cache.v.row(0)) {
+        for (hv, vv) in h.row(0).iter().zip(&cache.kv.row(0)[4..]) {
             assert!((hv - vv).abs() < 1e-5);
         }
     }
@@ -358,6 +383,117 @@ mod tests {
                     dkvf.get(r, c)
                 );
             }
+        }
+    }
+
+    /// The layer as it was before K‖V fusion, row masking and gradient
+    /// windows: three lone projections over every row, full-width input
+    /// gradients, `dV·Wv + dK·Wk` formed from two full matrices. Returns
+    /// `(h, dq_feat, dkv_feat)` and leaves the weight gradients in `ps`.
+    fn unfused_reference(
+        ps: &mut ParamSet,
+        [w_q, w_k, w_v]: [Linear; 3],
+        qf: &Matrix,
+        kvf: &Matrix,
+        counts: &[usize],
+        n: usize,
+        dh: &Matrix,
+    ) -> (Matrix, Matrix, Matrix) {
+        let (b, d) = (qf.rows(), w_q.out_dim());
+        let (q, q_cache) = w_q.forward(ps, qf);
+        let (k, k_cache) = w_k.forward(ps, kvf);
+        let (v, v_cache) = w_v.forward(ps, kvf);
+        let mut scores = Matrix::full(b, n, -1e9);
+        for (bi, &count) in counts.iter().enumerate() {
+            let cnt = count.min(n);
+            for s in 0..cnt {
+                let dot = kernels::dot(q.row(bi), k.row(bi * n + s));
+                scores.set(bi, s, dot * (1.0 / (cnt as f32).sqrt()));
+            }
+        }
+        let attn = scores.softmax_rows();
+        let mut h = Matrix::zeros(b, d);
+        let mut d_attn = Matrix::zeros(b, n);
+        let mut dv = Matrix::zeros(b * n, d);
+        for (bi, &count) in counts.iter().enumerate() {
+            for s in 0..count.min(n) {
+                kernels::axpy(h.row_mut(bi), attn.get(bi, s), v.row(bi * n + s));
+                d_attn.set(bi, s, kernels::dot(dh.row(bi), v.row(bi * n + s)));
+                kernels::axpy(dv.row_mut(bi * n + s), attn.get(bi, s), dh.row(bi));
+            }
+        }
+        let d_scores = attn.softmax_rows_backward(&d_attn);
+        let mut dq = Matrix::zeros(b, d);
+        let mut dk = Matrix::zeros(b * n, d);
+        for (bi, &count) in counts.iter().enumerate() {
+            let cnt = count.min(n);
+            for s in 0..cnt {
+                let ds = d_scores.get(bi, s) * (1.0 / (cnt as f32).sqrt());
+                kernels::axpy(dq.row_mut(bi), ds, k.row(bi * n + s));
+                kernels::axpy(dk.row_mut(bi * n + s), ds, q.row(bi));
+            }
+        }
+        let dq_feat = w_q.backward(ps, &q_cache, &dq);
+        let dk_feat = w_k.backward(ps, &k_cache, &dk);
+        let mut dkv_feat = w_v.backward(ps, &v_cache, &dv);
+        dkv_feat.add_assign(&dk_feat);
+        (h, dq_feat, dkv_feat)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Fusion, row masking and the gradient window are free: the fused
+    /// layer reproduces the unfused one bit for bit — output, every
+    /// dW/db (Wq, Wk and Wv), and the input gradients, of which a
+    /// windowed layer returns exactly the leading columns. The full
+    /// window (what a learnable time encoder gets) still carries the
+    /// identical Φ-column gradients behind the state columns.
+    #[test]
+    fn fused_windowed_backward_matches_unfused_full_backward() {
+        let (q_dim, kv_dim, d, n, b) = (7, 13, 6, 4, 5);
+        let counts = vec![4, 0, 2, 1, 3];
+        let (ps, att, qf, kvf) = setup(q_dim, kv_dim, d, n, b);
+        let dh = Matrix::from_fn(b, d, |r, c| 0.3 - 0.17 * (r as f32) + 0.05 * (c * c) as f32);
+
+        // Same seed, same registration order ⇒ the same weights.
+        let mut rng = seeded_rng(31);
+        let mut ref_ps = ParamSet::new();
+        let lone = [("wq", q_dim), ("wk", kv_dim), ("wv", kv_dim)]
+            .map(|(name, dim)| Linear::new(&mut ref_ps, &format!("att.{name}"), dim, d, &mut rng));
+        assert_eq!(ref_ps.flatten_weights(), ps.flatten_weights());
+        let (h_ref, dq_ref, dkv_ref) =
+            unfused_reference(&mut ref_ps, lone, &qf, &kvf, &counts, n, &dh);
+        let grads_ref: Vec<u32> = ref_ps.flatten_grads().iter().map(|g| g.to_bits()).collect();
+        assert!(grads_ref.iter().any(|&g| g != 0));
+
+        for window in [None, Some(3), Some(0)] {
+            let mut ps = ParamSet::new();
+            let mut rng = seeded_rng(31);
+            let mut att2 = TemporalAttention::new(&mut ps, "att", q_dim, kv_dim, d, n, &mut rng);
+            if let Some(cols) = window {
+                att2 = att2.with_input_grad_cols(cols);
+            }
+            let (h, cache) = att2.forward(&ps, &qf, &kvf, &counts);
+            assert_eq!(bits(&h), bits(&h_ref), "h, window {window:?}");
+            assert_eq!(bits(&h), bits(&att.infer(&ps, &qf, &kvf, &counts)));
+            let (dqf, dkvf) = att2.backward(&mut ps, &cache, &dh);
+            let grads: Vec<u32> = ps.flatten_grads().iter().map(|g| g.to_bits()).collect();
+            assert_eq!(grads, grads_ref, "dW/db, window {window:?}");
+            let (wq, wkv) = window.map_or((q_dim, kv_dim), |c| (c, c));
+            assert_eq!(dqf.shape(), (b, wq));
+            assert_eq!(dkvf.shape(), (b * n, wkv));
+            assert_eq!(
+                bits(&dqf),
+                bits(&dq_ref.slice_cols(0, wq)),
+                "dq, window {window:?}"
+            );
+            assert_eq!(
+                bits(&dkvf),
+                bits(&dkv_ref.slice_cols(0, wkv)),
+                "dkv, window {window:?}"
+            );
         }
     }
 

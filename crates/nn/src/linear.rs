@@ -2,10 +2,18 @@
 //!
 //! Weights are stored `out × in` (PyTorch convention) so the forward
 //! uses the fused `matmul_transpose_b` kernel.
+//!
+//! Layers that read the **same input** (attention's K and V) run as a
+//! group: [`Linear::forward_fused`] / [`Linear::backward_fused`]
+//! project through all weight panels in one pass over the input and
+//! form all weight gradients in one `Aᵀ·B`, with the parameters left
+//! where the [`ParamSet`] keeps them. A lone layer is the group of one,
+//! so there is a single forward and a single backward body.
 
 use crate::param::ParamSet;
-use disttgl_tensor::Matrix;
+use disttgl_tensor::{kernels, Matrix};
 use rand::Rng;
+use std::borrow::Borrow;
 
 /// A linear (affine) layer. Parameters live in an external [`ParamSet`];
 /// the struct holds only their indices, so model structs stay `Clone`-free
@@ -18,10 +26,12 @@ pub struct Linear {
     out_dim: usize,
 }
 
-/// Saved forward activations needed by the backward pass.
-pub struct LinearCache {
+/// Saved forward activations needed by the backward pass. `M` is how
+/// the input is held: a caller that is done with its input hands the
+/// `Matrix` over, one that is not lends `&Matrix` — neither is copied.
+pub struct LinearCache<M = Matrix> {
     /// The forward input `X` (batch × in_dim).
-    pub input: Matrix,
+    pub input: M,
 }
 
 impl Linear {
@@ -57,34 +67,102 @@ impl Linear {
         self.out_dim
     }
 
-    /// Forward pass: returns `X·Wᵀ + b` and the cache for backward.
+    /// Forward pass: returns `X·Wᵀ + b` and the cache for backward,
+    /// which keeps `x` itself (see [`LinearCache`]).
     ///
     /// # Panics
     /// Panics if `x.cols() != in_dim`.
-    pub fn forward(&self, params: &ParamSet, x: &Matrix) -> (Matrix, LinearCache) {
-        assert_eq!(x.cols(), self.in_dim, "Linear::forward: input width");
-        let mut y = x.matmul_transpose_b(&params.get(self.w).w);
-        y.add_row_broadcast(&params.get(self.b).w);
-        (y, LinearCache { input: x.clone() })
+    pub fn forward<M: Borrow<Matrix>>(&self, params: &ParamSet, x: M) -> (Matrix, LinearCache<M>) {
+        let y = Self::forward_fused([*self], params, x.borrow(), |_| true);
+        (y, LinearCache { input: x })
     }
 
-    /// Inference-only forward (no cache clone).
+    /// Inference-only forward.
     pub fn infer(&self, params: &ParamSet, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols(), self.in_dim, "Linear::infer: input width");
-        let mut y = x.matmul_transpose_b(&params.get(self.w).w);
-        y.add_row_broadcast(&params.get(self.b).w);
-        y
+        self.forward(params, x).0
     }
 
     /// Backward pass: accumulates `dW += dYᵀ·X`, `db += Σ_rows dY` and
     /// returns `dX = dY·W`.
-    pub fn backward(&self, params: &mut ParamSet, cache: &LinearCache, dy: &Matrix) -> Matrix {
-        assert_eq!(dy.cols(), self.out_dim, "Linear::backward: grad width");
-        let dw = dy.matmul_transpose_a(&cache.input);
-        params.get_mut(self.w).g.add_assign(&dw);
+    pub fn backward<M: Borrow<Matrix>>(
+        &self,
+        params: &mut ParamSet,
+        cache: &LinearCache<M>,
+        dy: &Matrix,
+    ) -> Matrix {
+        Self::backward_fused([*self], params, cache.input.borrow(), dy, self.in_dim)
+    }
+
+    /// Forward of `layers` sharing the input `x`:
+    /// `[X·W₀ᵀ + b₀ ‖ X·W₁ᵀ + b₁ ‖ …]` for the rows `keep_row` selects
+    /// (the others stay zero — callers that mask rows never read them).
+    /// Column block `i` is bit-identical to `layers[i]` run alone.
+    ///
+    /// # Panics
+    /// Panics if `x.cols()` differs from a layer's `in_dim`.
+    pub(crate) fn forward_fused<const L: usize>(
+        layers: [Linear; L],
+        params: &ParamSet,
+        x: &Matrix,
+        keep_row: impl Fn(usize) -> bool,
+    ) -> Matrix {
+        for l in &layers {
+            assert_eq!(x.cols(), l.in_dim, "Linear::forward: input width");
+        }
+        let mut y = x.matmul_transpose_b_panels(layers.map(|l| &params.get(l.w).w), &keep_row);
+        let width = y.cols();
+        for (r, row) in y.as_mut_slice().chunks_exact_mut(width.max(1)).enumerate() {
+            if keep_row(r) {
+                let mut at = 0;
+                for l in &layers {
+                    kernels::add(&mut row[at..at + l.out_dim], params.get(l.b).w.as_slice());
+                    at += l.out_dim;
+                }
+            }
+        }
+        y
+    }
+
+    /// Backward of [`Linear::forward_fused`] from `dy = [dY₀ ‖ dY₁ ‖ …]`:
+    /// every layer's `dW`/`db` from one `dyᵀ·x` and one column sum, and
+    /// the leading `grad_cols` columns of the summed input gradient
+    /// `Σᵢ dYᵢ·Wᵢ` (the columns behind them are data to the caller, so
+    /// they are not computed). Each term is its own ascending-`k` chain
+    /// and terms are added in layer order: bit-identical to running the
+    /// layers' backward passes one by one, adding their outputs and
+    /// slicing.
+    pub(crate) fn backward_fused<const L: usize>(
+        layers: [Linear; L],
+        params: &mut ParamSet,
+        x: &Matrix,
+        dy: &Matrix,
+        grad_cols: usize,
+    ) -> Matrix {
+        let width: usize = layers.iter().map(|l| l.out_dim).sum();
+        assert_eq!(dy.cols(), width, "Linear::backward: grad width");
+        let dw = dy.matmul_transpose_a(x);
         let db = dy.sum_rows();
-        params.get_mut(self.b).g.add_assign(&db);
-        dy.matmul(&params.get(self.w).w)
+        let mut dx = Matrix::default();
+        let mut at = 0;
+        for (i, l) in layers.iter().enumerate() {
+            let cols = at..at + l.out_dim;
+            kernels::add(
+                params.get_mut(l.w).g.as_mut_slice(),
+                &dw.as_slice()[at * l.in_dim..cols.end * l.in_dim],
+            );
+            kernels::add(
+                params.get_mut(l.b).g.as_mut_slice(),
+                &db.as_slice()[cols.clone()],
+            );
+            let term = dy.matmul_cols(cols.clone(), &params.get(l.w).w, grad_cols);
+            if i == 0 {
+                dx = term;
+            } else {
+                dx.add_assign(&term);
+            }
+            at = cols.end;
+        }
+        dx
     }
 }
 

@@ -49,10 +49,8 @@ impl EdgePredictor {
         src: &Matrix,
         dst: &Matrix,
     ) -> (Matrix, PredictorCache) {
-        let x = Matrix::hcat(&[src, dst]);
-        let (z1, c1) = self.l1.forward(params, &x);
-        let a1 = z1.relu();
-        let (logits, c2) = self.l2.forward(params, &a1);
+        let (z1, c1) = self.l1.forward(params, Matrix::hcat(&[src, dst]));
+        let (logits, c2) = self.l2.forward(params, z1.relu());
         (logits, PredictorCache { c1, c2, z1 })
     }
 
@@ -117,10 +115,8 @@ impl EdgeClassifier {
         src: &Matrix,
         dst: &Matrix,
     ) -> (Matrix, PredictorCache) {
-        let x = Matrix::hcat(&[src, dst]);
-        let (z1, c1) = self.l1.forward(params, &x);
-        let a1 = z1.relu();
-        let (logits, c2) = self.l2.forward(params, &a1);
+        let (z1, c1) = self.l1.forward(params, Matrix::hcat(&[src, dst]));
+        let (logits, c2) = self.l2.forward(params, z1.relu());
         (logits, PredictorCache { c1, c2, z1 })
     }
 

@@ -17,7 +17,13 @@
 //!   path rounds twice, which would break bit-identity;
 //! * elementwise kernels (`axpy`, `add`, `scale`, the fused GRU maps)
 //!   have no cross-element data flow, so any vector width gives the
-//!   same bits per element.
+//!   same bits per element;
+//! * the whole-GEMM bodies (`gemm_tb`, `gemm_axpy`) give every
+//!   output element its own reduction of one of the two kinds above —
+//!   a laned dot, or an ascending-`k` chain of axpy updates — so
+//!   register tiles, cache blocks, fused panels, row selections and
+//!   column windows choose *which* elements are computed and when,
+//!   never how one is summed.
 //!
 //! Because of this, flipping SIMD on or off (feature flag, missing
 //! CPU support, [`force_scalar`], or `DISTTGL_SIMD=0`) never changes
@@ -83,10 +89,11 @@ pub fn simd_active() -> bool {
 /// model, which dominates training compute.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len(), "dot: length mismatch");
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if simd_active() {
-        // SAFETY: `simd_active()` verified AVX2 support at runtime.
+        // SAFETY: `simd_active()` verified AVX2 support at runtime; the
+        // lengths were just checked equal.
         return unsafe { avx2::dot(a, b) };
     }
     dot_scalar(a, b)
@@ -108,16 +115,21 @@ pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Four simultaneous dot products of one shared `a` against four `b`
-/// rows — the register-blocked inner kernel of `A · Bᵀ`. Each output
-/// is bit-identical to [`dot`] of the same pair: the blocking shares
-/// *loads* of `a`, not accumulators. A single-accumulator dot is
+/// rows — one row of the register tile `gemm_tb` is built from. Each
+/// output is bit-identical to [`dot`] of the same pair: the blocking
+/// shares *loads* of `a`, not accumulators. A single-accumulator dot is
 /// latency-bound on the FP add chain; four independent chains saturate
 /// the FMA ports and quadruple throughput at identical numerics.
 #[inline]
 pub fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
+    assert!(
+        [b0, b1, b2, b3].iter().all(|b| b.len() == a.len()),
+        "dot4: length mismatch"
+    );
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if simd_active() {
-        // SAFETY: `simd_active()` verified AVX2 support at runtime.
+        // SAFETY: `simd_active()` verified AVX2 support at runtime; the
+        // lengths were just checked equal.
         return unsafe { avx2::dot4(a, b0, b1, b2, b3) };
     }
     [
@@ -282,6 +294,134 @@ pub fn gru_combine(o: &mut [f32], n: &[f32], z: &[f32], h: &[f32]) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Whole-GEMM bodies (one dispatch per product, tiles inlined)
+// ---------------------------------------------------------------------------
+
+/// `A · [P₀; P₁; …]ᵀ` over the rows of `A` that `keep_row` selects:
+/// `out[r] = [a[r]·P₀ᵀ ‖ a[r]·P₁ᵀ ‖ …]`, rows not kept are left as
+/// they are. `a` is row-major `m × k`; each panel is a row-major
+/// `nₚ × k` block, so several weight matrices that share an input are
+/// projected in one pass over `a` without being concatenated.
+///
+/// Every output element is exactly [`dot`] of its `(a row, panel row)`
+/// pair — its own eight lanes, chunk order, fold and serial tail — so
+/// the register tile (two `a` rows share each panel-row load), the
+/// panel fusion and the row selection cannot move a bit.
+///
+/// # Panics
+/// Panics if `k == 0`, a length is not a multiple of `k`, or `out` is
+/// not `m × Σnₚ`.
+pub(crate) fn gemm_tb(
+    a: &[f32],
+    k: usize,
+    panels: &[&[f32]],
+    keep_row: impl Fn(usize) -> bool,
+    out: &mut [f32],
+) {
+    assert!(
+        k > 0 && a.len().is_multiple_of(k),
+        "gemm_tb: a is not m × {k}"
+    );
+    assert!(
+        panels.iter().all(|p| p.len().is_multiple_of(k)),
+        "gemm_tb: panel is not n × {k}"
+    );
+    let n: usize = panels.iter().map(|p| p.len() / k).sum();
+    assert_eq!(out.len(), a.len() / k * n, "gemm_tb: out is not m × {n}");
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if simd_active() {
+        // SAFETY: `simd_active()` verified AVX2 support at runtime; the
+        // asserts above establish the shapes the body indexes by.
+        unsafe { avx2::gemm_tb(a, k, panels, keep_row, out) };
+        return;
+    }
+    let rows = a.chunks_exact(k).zip(out.chunks_exact_mut(n.max(1)));
+    for (r, (a_row, out_row)) in rows.enumerate() {
+        if keep_row(r) {
+            let b_rows = panels.iter().flat_map(|p| p.chunks_exact(k));
+            for (o, b_row) in out_row.iter_mut().zip(b_rows) {
+                *o = dot_scalar(a_row, b_row);
+            }
+        }
+    }
+}
+
+/// Where the left operand of [`gemm_axpy`] keeps the multiplier of
+/// output row `r` at reduction step `s`: `a[origin + r·row + s·step]`.
+/// `{origin: 0, row: 1, step: m}` reads a `steps × m` matrix transposed
+/// (`Aᵀ·B`); `{origin: c, row: lda, step: 1}` reads columns `c..` of a
+/// `rows × lda` matrix (`A[:, c..]·B`).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Strides {
+    /// Index of the `(r, s) = (0, 0)` multiplier.
+    pub origin: usize,
+    /// Distance between consecutive output rows.
+    pub row: usize,
+    /// Distance between consecutive reduction steps.
+    pub step: usize,
+}
+
+/// The axpy-chain GEMM behind `A·B` and `Aᵀ·B`:
+/// `out[r][j] += a(r, s) · b[s][j]` for `j < w`, summed over
+/// `s = 0..steps` **in ascending `s`**, skipping every `a(r, s)` that
+/// equals zero (either sign) — per output element the same chain of
+/// multiply-then-add updates [`axpy`] builds one row at a time. `out`
+/// is row-major `rows × w` and is accumulated into; `b` holds `steps`
+/// rows `ldb` apart, of which the leading `w` columns are read (an
+/// output-column window costs nothing and moves no bit: columns never
+/// mix).
+///
+/// The AVX2 body keeps a 4 × 16 tile of `out` in registers across a
+/// block of steps; tiling and blocking only decide *when* an element's
+/// next update happens, never its order.
+///
+/// # Panics
+/// Panics if `w > ldb`, `out` is not `rows × w`, or `a`/`b` are too
+/// short for the shape.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_axpy(
+    a: &[f32],
+    at: Strides,
+    rows: usize,
+    steps: usize,
+    b: &[f32],
+    ldb: usize,
+    w: usize,
+    out: &mut [f32],
+) {
+    assert_eq!(out.len(), rows * w, "gemm_axpy: out is not {rows} × {w}");
+    if rows == 0 || steps == 0 || w == 0 {
+        return;
+    }
+    assert!(w <= ldb, "gemm_axpy: window {w} wider than b rows {ldb}");
+    assert!(
+        (steps - 1) * ldb + w <= b.len(),
+        "gemm_axpy: b shorter than {steps} rows"
+    );
+    assert!(
+        at.origin + (rows - 1) * at.row + (steps - 1) * at.step < a.len(),
+        "gemm_axpy: a shorter than {rows} × {steps}"
+    );
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if simd_active() {
+        // SAFETY: `simd_active()` verified AVX2 support at runtime; the
+        // asserts above bound every index the body forms.
+        unsafe { avx2::gemm_axpy(a, at, rows, steps, b, ldb, w, out) };
+        return;
+    }
+    for (r, out_row) in out.chunks_exact_mut(w).enumerate() {
+        for s in 0..steps {
+            let av = a[at.origin + r * at.row + s * at.step];
+            if av != 0.0 {
+                for (o, &bv) in out_row.iter_mut().zip(&b[s * ldb..s * ldb + w]) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+}
+
 /// The fixed lane-fold tree shared by every 8-lane reduction:
 /// `((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7))`. This exact shape is what
 /// the AVX2 horizontal reduction reproduces with one 128-bit add and
@@ -320,52 +460,261 @@ mod avx2 {
         _mm_cvtss_f32(_mm_add_ss(t, _mm_movehl_ps(t, t)))
     }
 
+    /// The `R × C` register tile of the dot family: every `a[r]·b[c]`
+    /// over `k` elements, each in its own accumulator register — the
+    /// tile shares *loads* (one of each `a` and `b` chunk per step),
+    /// never sums, so each result is the lone dot of its pair.
+    ///
     /// # Safety
-    /// Requires AVX2.
+    /// Requires AVX2; every pointer must be valid for `k` reads.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-        let main = a.len() - a.len() % 8;
-        let mut acc = _mm256_setzero_ps();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
+    unsafe fn dot_tile<const R: usize, const C: usize>(
+        a: [*const f32; R],
+        b: [*const f32; C],
+        k: usize,
+    ) -> [[f32; C]; R] {
+        let main = k - k % 8;
+        let mut acc = [[_mm256_setzero_ps(); C]; R];
         let mut i = 0;
         while i < main {
-            let va = _mm256_loadu_ps(pa.add(i));
-            let vb = _mm256_loadu_ps(pb.add(i));
-            // mul + add, NOT fmadd: fused rounding would diverge from
-            // the scalar lanes.
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
+            let va = a.map(|p| _mm256_loadu_ps(p.add(i)));
+            for c in 0..C {
+                let vb = _mm256_loadu_ps(b[c].add(i));
+                for r in 0..R {
+                    // mul + add, NOT fmadd: fused rounding would
+                    // diverge from the scalar lanes.
+                    acc[r][c] = _mm256_add_ps(acc[r][c], _mm256_mul_ps(va[r], vb));
+                }
+            }
             i += 8;
         }
-        fold8_avx(acc) + super::dot_serial(&a[main..], &b[main..])
+        let tail = |p: *const f32| std::slice::from_raw_parts(p.add(main), k - main);
+        let mut out = [[0.0f32; C]; R];
+        for r in 0..R {
+            for c in 0..C {
+                out[r][c] = fold8_avx(acc[r][c]) + super::dot_serial(tail(a[r]), tail(b[c]));
+            }
+        }
+        out
     }
 
     /// # Safety
-    /// Requires AVX2.
+    /// Requires AVX2 and `a.len() == b.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
+        dot_tile([a.as_ptr()], [b.as_ptr()], a.len())[0][0]
+    }
+
+    /// # Safety
+    /// Requires AVX2 and all five slices of one length.
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-        let main = a.len() - a.len() % 8;
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
-        let pa = a.as_ptr();
-        let (p0, p1, p2, p3) = (b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr());
-        let mut i = 0;
-        while i < main {
-            let va = _mm256_loadu_ps(pa.add(i));
-            acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, _mm256_loadu_ps(p0.add(i))));
-            acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(va, _mm256_loadu_ps(p1.add(i))));
-            acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(va, _mm256_loadu_ps(p2.add(i))));
-            acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(va, _mm256_loadu_ps(p3.add(i))));
-            i += 8;
+        let b = [b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr()];
+        dot_tile([a.as_ptr()], b, a.len())[0]
+    }
+
+    /// AVX2 body of [`super::gemm_tb`]: kept rows are taken two at a
+    /// time so each panel-row chunk is loaded once for both.
+    ///
+    /// # Safety
+    /// Requires AVX2, `k > 0`, `a.len()` and every panel length a
+    /// multiple of `k`, and `out.len() == (a.len() / k) · Σ(panel rows)`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gemm_tb(
+        a: &[f32],
+        k: usize,
+        panels: &[&[f32]],
+        keep_row: impl Fn(usize) -> bool,
+        out: &mut [f32],
+    ) {
+        let n: usize = panels.iter().map(|p| p.len() / k).sum();
+        let (pa, po) = (a.as_ptr(), out.as_mut_ptr());
+        let mut held = None;
+        for r in (0..a.len() / k).filter(|&r| keep_row(r)) {
+            match held.take() {
+                None => held = Some(r),
+                Some(r0) => tb_rows(
+                    [pa.add(r0 * k), pa.add(r * k)],
+                    k,
+                    panels,
+                    [po.add(r0 * n), po.add(r * n)],
+                ),
+            }
         }
-        let ta = &a[main..];
-        [
-            fold8_avx(acc0) + super::dot_serial(ta, &b0[main..]),
-            fold8_avx(acc1) + super::dot_serial(ta, &b1[main..]),
-            fold8_avx(acc2) + super::dot_serial(ta, &b2[main..]),
-            fold8_avx(acc3) + super::dot_serial(ta, &b3[main..]),
-        ]
+        if let Some(r0) = held {
+            tb_rows([pa.add(r0 * k)], k, panels, [po.add(r0 * n)]);
+        }
+    }
+
+    /// `R` rows of `A · [panels]ᵀ`, four panel rows per tile.
+    ///
+    /// # Safety
+    /// Requires AVX2; each `a[r]` valid for `k` reads, each `out[r]`
+    /// for `Σ(panel rows)` writes, panel lengths multiples of `k`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tb_rows<const R: usize>(
+        a: [*const f32; R],
+        k: usize,
+        panels: &[&[f32]],
+        out: [*mut f32; R],
+    ) {
+        let mut col = 0;
+        for p in panels {
+            let (pb, np) = (p.as_ptr(), p.len() / k);
+            let mut j = 0;
+            while j + 4 <= np {
+                let b = [0, 1, 2, 3].map(|c| pb.add((j + c) * k));
+                let tile = dot_tile(a, b, k);
+                for r in 0..R {
+                    out[r]
+                        .add(col + j)
+                        .copy_from_nonoverlapping(tile[r].as_ptr(), 4);
+                }
+                j += 4;
+            }
+            while j < np {
+                let tile = dot_tile(a, [pb.add(j * k)], k);
+                for r in 0..R {
+                    *out[r].add(col + j) = tile[r][0];
+                }
+                j += 1;
+            }
+            col += np;
+        }
+    }
+
+    /// Steps per block of [`gemm_axpy`]: the `KC × w` slab of `b` and
+    /// the matching multipliers stay in L2 while every tile sweeps them.
+    const KC: usize = 128;
+    /// Output rows per block of [`gemm_axpy`] — bounds the multipliers
+    /// re-read by successive column tiles.
+    const MC: usize = 256;
+
+    /// Signature shared by every instance of [`axpy_tile`].
+    type AxpyTile =
+        unsafe fn(*const f32, super::Strides, *const f32, usize, usize, *mut f32, usize, __m256i);
+
+    /// AVX2 body of [`super::gemm_axpy`]: row block → step block →
+    /// 16-column tile → 4-row tile, so an element's chain is resumed
+    /// (load, extend, store) once per step block, in ascending order.
+    ///
+    /// # Safety
+    /// Requires AVX2 and the shape conditions [`super::gemm_axpy`]
+    /// asserts (`w <= ldb`, `out.len() == rows · w`, `a` and `b` long
+    /// enough for `rows`/`steps`).
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gemm_axpy(
+        a: &[f32],
+        at: super::Strides,
+        rows: usize,
+        steps: usize,
+        b: &[f32],
+        ldb: usize,
+        w: usize,
+        out: &mut [f32],
+    ) {
+        let (pa, pb, po) = (a.as_ptr().add(at.origin), b.as_ptr(), out.as_mut_ptr());
+        // Lanes of the last, partial vector of a row (all eight when
+        // `w` is a multiple of 8 — then no tile is masked).
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((w % 8) as i32), lane);
+        for r0 in (0..rows).step_by(MC) {
+            let r1 = (r0 + MC).min(rows);
+            for s0 in (0..steps).step_by(KC) {
+                let len = KC.min(steps - s0);
+                let mut j = 0;
+                while j < w {
+                    let cols = (w - j).min(16);
+                    // One or two vectors per tile row, the last masked
+                    // when the row ends inside it.
+                    let (tile4, tile1): (AxpyTile, AxpyTile) = match cols {
+                        16 => (axpy_tile::<4, 2, false>, axpy_tile::<1, 2, false>),
+                        9.. => (axpy_tile::<4, 2, true>, axpy_tile::<1, 2, true>),
+                        8 => (axpy_tile::<4, 1, false>, axpy_tile::<1, 1, false>),
+                        _ => (axpy_tile::<4, 1, true>, axpy_tile::<1, 1, true>),
+                    };
+                    let mut r = r0;
+                    while r < r1 {
+                        let (tile, tall) = if r + 4 <= r1 { (tile4, 4) } else { (tile1, 1) };
+                        let ta = pa.add(r * at.row + s0 * at.step);
+                        let tb = pb.add(s0 * ldb + j);
+                        tile(ta, at, tb, ldb, len, po.add(r * w + j), w, mask);
+                        r += tall;
+                    }
+                    j += cols;
+                }
+            }
+        }
+    }
+
+    /// One `R × 8C` tile of [`gemm_axpy`] extended by `len` steps; `a`,
+    /// `b`, `out` are already advanced to the tile's first multiplier,
+    /// `b` element and output element. With `MASKED` the tile's last
+    /// vector covers only the lanes `mask` selects (the row tail); the
+    /// other lanes are neither read nor written, and lanes never mix,
+    /// so the selected ones hold exactly what a full vector would.
+    ///
+    /// # Safety
+    /// Requires AVX2; `a` valid at `r·at.row + s·at.step`, `b` at
+    /// `s·ldb + ..8C` and `out` at `r·ldo + ..8C` (selected lanes only)
+    /// for `r < R`, `s < len`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    unsafe fn axpy_tile<const R: usize, const C: usize, const MASKED: bool>(
+        a: *const f32,
+        at: super::Strides,
+        b: *const f32,
+        ldb: usize,
+        len: usize,
+        out: *mut f32,
+        ldo: usize,
+        mask: __m256i,
+    ) {
+        let load = |p: *const f32, c: usize| {
+            if MASKED && c == C - 1 {
+                _mm256_maskload_ps(p.add(8 * c), mask)
+            } else {
+                _mm256_loadu_ps(p.add(8 * c))
+            }
+        };
+        let mut acc = [[_mm256_setzero_ps(); C]; R];
+        for r in 0..R {
+            for c in 0..C {
+                acc[r][c] = load(out.add(r * ldo), c);
+            }
+        }
+        for s in 0..len {
+            let mut vb = [_mm256_setzero_ps(); C];
+            for c in 0..C {
+                vb[c] = load(b.add(s * ldb), c);
+            }
+            for r in 0..R {
+                let av = *a.add(r * at.row + s * at.step);
+                // The zero skip is part of the numerics (`0 · inf`
+                // would poison the chain), exactly as in the scalar
+                // body.
+                if av != 0.0 {
+                    let va = _mm256_set1_ps(av);
+                    for c in 0..C {
+                        acc[r][c] = _mm256_add_ps(acc[r][c], _mm256_mul_ps(va, vb[c]));
+                    }
+                }
+            }
+        }
+        for r in 0..R {
+            for c in 0..C {
+                let p = out.add(r * ldo + 8 * c);
+                if MASKED && c == C - 1 {
+                    _mm256_maskstore_ps(p, mask, acc[r][c]);
+                } else {
+                    _mm256_storeu_ps(p, acc[r][c]);
+                }
+            }
+        }
     }
 
     /// # Safety

@@ -5,16 +5,16 @@
 //! The DistTGL paper runs on PyTorch; this crate is the minimal
 //! replacement needed by a memory-based temporal GNN: a row-major 2-D
 //! [`Matrix`] with the kernels the model's forward *and hand-written
-//! backward* passes need — matmul (rayon-parallel above a size
-//! threshold), elementwise arithmetic, activations, row-wise softmax,
-//! row gather/scatter, and column concatenation.
+//! backward* passes need — matmul (register-tiled, single-threaded),
+//! elementwise arithmetic, activations, row-wise softmax, row
+//! gather/scatter, and column concatenation.
 //!
 //! Design notes (following the hpc-parallel guides):
 //! * storage is a single contiguous `Vec<f32>` — no per-row allocation;
 //! * hot kernels take `&mut` outputs so callers can reuse buffers;
-//! * parallelism is intra-op via `rayon::par_chunks_mut` over output
-//!   rows, which composes with the *inter*-trainer parallelism of
-//!   `disttgl-cluster` (each trainer thread drives its own ops);
+//! * every kernel runs on the calling thread — parallelism is the
+//!   *inter*-trainer parallelism of `disttgl-cluster` (each trainer
+//!   thread drives its own ops);
 //! * all random initialization is seeded (`rand_chacha`) so every
 //!   experiment in the paper-reproduction harness is deterministic.
 //!
@@ -57,14 +57,3 @@ pub mod timing;
 pub use activations::sigmoid_scalar;
 pub use init::seeded_rng;
 pub use matrix::Matrix;
-
-/// Minimum number of f32 multiply-adds before a kernel switches from the
-/// sequential loop to the rayon-parallel path.
-///
-/// The threshold is deliberately high: in this workspace a "GPU" is a
-/// single trainer *thread*, so everyday mini-batch kernels must stay on
-/// that thread or the multi-trainer scaling experiments (paper Fig 12)
-/// would be contaminated by intra-op parallelism stealing the other
-/// trainers' cores. Only genuinely huge one-off kernels (whole-table
-/// operations) cross this threshold and fan out via rayon.
-pub const PAR_THRESHOLD: usize = 1 << 28;

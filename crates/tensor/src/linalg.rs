@@ -3,86 +3,32 @@
 //! Three matmul variants cover everything the hand-written backward
 //! passes need without materializing transposes:
 //!
-//! * `matmul` — `C = A · B` (forward)
-//! * `matmul_transpose_b` — `C = A · Bᵀ` (forward attention scores,
-//!   backward w.r.t. inputs)
+//! * `matmul` — `C = A · B` (backward w.r.t. inputs), with
+//!   [`Matrix::matmul_cols`] as its windowed form: a column range of
+//!   `A` against the leading columns of `B`
+//! * `matmul_transpose_b` — `C = A · Bᵀ` (every forward projection),
+//!   with [`Matrix::matmul_transpose_b_panels`] as its fused form:
+//!   several `B` panels in one pass over `A`, selected rows only
 //! * `matmul_transpose_a` — `C = Aᵀ · B` (backward w.r.t. weights)
 //!
-//! There are exactly **two inner kernels**, both living in
-//! [`crate::kernels`] with scalar + AVX2 twins: the laned dot
-//! (register-blocked four-wide as `dot4`) drives the `Bᵀ` family, and
-//! the axpy row-update drives `matmul`/`matmul_transpose_a`. The
-//! cache-tiled sequential `matmul` and its rayon-parallel row loop
-//! accumulate every output element in ascending inner-index order, so
-//! blocking and dispatch never change a bit of the result (see the
-//! crate-level determinism contract).
+//! Each variant is **one body** in [`crate::kernels`] with a scalar and
+//! a whole-GEMM AVX2 twin, dispatched once per product:
+//! `gemm_tb` (a laned dot per output element) drives the `Bᵀ` family,
+//! `gemm_axpy` (an ascending-`k`, zero-skipping axpy chain per output
+//! element) drives `matmul` and
+//! `matmul_transpose_a`. Register tiles, cache blocks, panel fusion,
+//! row selection and column windows decide which elements are computed
+//! and when — never the order an element is accumulated in — so none
+//! of them changes a bit of the result (see the crate-level
+//! determinism contract).
 //!
-//! Each variant switches to a rayon-parallel loop over output rows
-//! once the multiply-add count crosses [`crate::PAR_THRESHOLD`];
-//! mini-batch sized calls stay sequential so trainer *threads* (the
-//! outer parallelism of the simulated cluster) don't fight over the
-//! rayon pool.
+//! Everything runs on the calling thread: in this workspace a "GPU" is
+//! one trainer *thread*, and intra-op fan-out would contaminate the
+//! multi-trainer scaling experiments.
 
 use crate::timing::{scope, Kernel};
-use crate::{kernels, Matrix, PAR_THRESHOLD};
-use rayon::prelude::*;
-
-/// k-block of the cache-tiled `matmul`: a `KC × JC` panel of B
-/// (64 × 512 f32 = 128 KiB) is re-streamed from L2 across all output
-/// rows instead of re-reading the whole of B from DRAM per row.
-const KC: usize = 64;
-/// j-panel width: the output row slice touched inside a k-block
-/// (512 f32 = 2 KiB) stays resident in L1.
-const JC: usize = 512;
-
-/// One row-panel of `A · Bᵀ`: `out_row[j] = a_row · b.row(j)`.
-///
-/// `SERIAL` selects the plain serial-reduction dot (the
-/// pre-optimization reference numerics); the default path uses the
-/// laned [`kernels::dot4`] four columns at a time (shared `a_row`
-/// loads, independent accumulator chains) with [`kernels::dot`] for
-/// the remainder columns — every column bit-identical to a lone
-/// `dot`.
-#[inline]
-fn tb_row<const SERIAL: bool>(a_row: &[f32], b: &[f32], k: usize, out_row: &mut [f32]) {
-    if SERIAL {
-        for (o, b_row) in out_row.iter_mut().zip(b.chunks_exact(k)) {
-            *o = kernels::dot_serial(a_row, b_row);
-        }
-        return;
-    }
-    let n = out_row.len();
-    let quads = n - n % 4;
-    let mut j = 0;
-    while j < quads {
-        let q = kernels::dot4(
-            a_row,
-            &b[j * k..(j + 1) * k],
-            &b[(j + 1) * k..(j + 2) * k],
-            &b[(j + 2) * k..(j + 3) * k],
-            &b[(j + 3) * k..(j + 4) * k],
-        );
-        out_row[j..j + 4].copy_from_slice(&q);
-        j += 4;
-    }
-    for jj in j..n {
-        out_row[jj] = kernels::dot(a_row, &b[jj * k..(jj + 1) * k]);
-    }
-}
-
-/// One output row of `A · B` as ascending-k axpy updates
-/// (zero-skipped) — the row body shared by the parallel path and, in
-/// k-block slices, by the cache-tiled sequential path. Per output
-/// element both walk k in the same ascending order, so they are
-/// bit-identical.
-#[inline]
-fn mm_row(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
-    for (kk, &av) in a_row.iter().enumerate() {
-        if av != 0.0 {
-            kernels::axpy(out_row, av, &b[kk * n..(kk + 1) * n]);
-        }
-    }
-}
+use crate::{kernels, Matrix};
+use std::ops::Range;
 
 impl Matrix {
     /// `self · other`.
@@ -90,47 +36,50 @@ impl Matrix {
     /// # Panics
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols(),
-            other.rows(),
-            "matmul: {}x{} · {}x{}",
+        self.matmul_cols(0..self.cols(), other, other.cols())
+    }
+
+    /// `self[:, a_cols] · other[:, ..out_cols]` — [`Matrix::matmul`] on
+    /// a column range of the left operand and an output-column window
+    /// of the right one, without copying either out. Each element is
+    /// bit-identical to the same element of the full product of the
+    /// copied-out blocks: a backward pass whose caller keeps only the
+    /// leading input-gradient columns computes only those.
+    ///
+    /// # Panics
+    /// Panics if `a_cols` exceeds `self`, `a_cols.len() != other.rows()`
+    /// or `out_cols > other.cols()`.
+    pub fn matmul_cols(&self, a_cols: Range<usize>, other: &Matrix, out_cols: usize) -> Matrix {
+        assert!(
+            a_cols.start <= a_cols.end && a_cols.end <= self.cols(),
+            "matmul: columns {a_cols:?} out of {}",
+            self.cols()
+        );
+        assert!(
+            a_cols.len() == other.rows() && out_cols <= other.cols(),
+            "matmul: {}x{} · {}x{} (window {out_cols})",
             self.rows(),
-            self.cols(),
+            a_cols.len(),
             other.rows(),
             other.cols()
         );
         let _t = scope(Kernel::Matmul);
-        let (m, k, n) = (self.rows(), self.cols(), other.cols());
-        let mut out = Matrix::zeros(m, n);
-        let work = m * k * n;
-        let a = self.as_slice();
-        let b = other.as_slice();
-
-        if work >= PAR_THRESHOLD {
-            out.as_mut_slice()
-                .par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(r, out_row)| mm_row(&a[r * k..(r + 1) * k], b, n, out_row));
-        } else {
-            // Cache-tiled: fix a KC×JC panel of B, sweep all rows.
-            let o = out.as_mut_slice();
-            for jb in (0..n).step_by(JC) {
-                let jw = JC.min(n - jb);
-                for kb in (0..k).step_by(KC) {
-                    let kw = KC.min(k - kb);
-                    for i in 0..m {
-                        let a_blk = &a[i * k + kb..i * k + kb + kw];
-                        let out_row = &mut o[i * n + jb..i * n + jb + jw];
-                        for (kk, &av) in a_blk.iter().enumerate() {
-                            if av != 0.0 {
-                                let b_row = &b[(kb + kk) * n + jb..(kb + kk) * n + jb + jw];
-                                kernels::axpy(out_row, av, b_row);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let mut out = Matrix::zeros(self.rows(), out_cols);
+        let at = kernels::Strides {
+            origin: a_cols.start,
+            row: self.cols(),
+            step: 1,
+        };
+        kernels::gemm_axpy(
+            self.as_slice(),
+            at,
+            self.rows(),
+            a_cols.len(),
+            other.as_slice(),
+            other.cols(),
+            out_cols,
+            out.as_mut_slice(),
+        );
         out
     }
 
@@ -139,39 +88,60 @@ impl Matrix {
     /// # Panics
     /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols(),
-            other.cols(),
-            "matmul_transpose_b: inner dims {} vs {}",
-            self.cols(),
-            other.cols()
-        );
-        let _t = scope(Kernel::Matmul);
-        let (m, k, n) = (self.rows(), self.cols(), other.rows());
-        let mut out = Matrix::zeros(m, n);
-        let work = m * k * n;
-        let a = self.as_slice();
-        let b = other.as_slice();
+        self.matmul_transpose_b_panels([other], |_| true)
+    }
 
-        if work >= PAR_THRESHOLD {
-            out.as_mut_slice()
-                .par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(r, out_row)| tb_row::<false>(&a[r * k..(r + 1) * k], b, k, out_row));
-        } else {
-            for (r, out_row) in out.as_mut_slice().chunks_exact_mut(n.max(1)).enumerate() {
-                tb_row::<false>(&a[r * k..(r + 1) * k], b, k, out_row);
-            }
-        }
+    /// `[self·P₀ᵀ ‖ self·P₁ᵀ ‖ …]` for the rows `keep_row` selects, zero
+    /// elsewhere: the panels (weight matrices sharing this input) are
+    /// read in place and `self` is streamed once for all of them. Each
+    /// kept element is bit-identical to the same element of
+    /// `self.matmul_transpose_b(Pᵢ)`.
+    ///
+    /// # Panics
+    /// Panics if a panel's width differs from `self.cols()`.
+    pub fn matmul_transpose_b_panels<const P: usize>(
+        &self,
+        panels: [&Matrix; P],
+        keep_row: impl Fn(usize) -> bool,
+    ) -> Matrix {
+        let n = panels.iter().map(|p| p.rows()).sum();
+        let mut out = Matrix::zeros(self.rows(), n);
+        self.project_into(panels, keep_row, &mut out);
         out
+    }
+
+    /// Shared body of the `A · Bᵀ` entry points; `out` is already
+    /// `self.rows() × Σ panel rows`.
+    fn project_into<const P: usize>(
+        &self,
+        panels: [&Matrix; P],
+        keep_row: impl Fn(usize) -> bool,
+        out: &mut Matrix,
+    ) {
+        let k = self.cols();
+        for p in panels {
+            assert_eq!(
+                k,
+                p.cols(),
+                "matmul_transpose_b: inner dims {k} vs {}",
+                p.cols()
+            );
+        }
+        let _t = scope(Kernel::Matmul);
+        if k == 0 {
+            // Every dot is over nothing.
+            out.zero();
+            return;
+        }
+        let panels = panels.map(Matrix::as_slice);
+        kernels::gemm_tb(self.as_slice(), k, &panels, keep_row, out.as_mut_slice());
     }
 
     /// `self · otherᵀ` with the plain serial-reduction dot product —
     /// the pre-optimization kernel, kept as the correctness reference
     /// for the laned [`Matrix::matmul_transpose_b`] and for
-    /// kernel-level A/B benchmarks. Shares the row-panel body with the
-    /// fast variant (only the reduction differs); results differ from
-    /// the laned kernel only by f32 summation order.
+    /// kernel-level A/B benchmarks; results differ from the laned
+    /// kernel only by f32 summation order.
     pub fn matmul_transpose_b_serial(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols(),
@@ -180,12 +150,16 @@ impl Matrix {
             self.cols(),
             other.cols()
         );
-        let (m, k, n) = (self.rows(), self.cols(), other.rows());
-        let mut out = Matrix::zeros(m, n);
-        let a = self.as_slice();
-        let b = other.as_slice();
-        for (r, out_row) in out.as_mut_slice().chunks_exact_mut(n.max(1)).enumerate() {
-            tb_row::<true>(&a[r * k..(r + 1) * k], b, k, out_row);
+        let (k, n) = (self.cols(), other.rows());
+        let mut out = Matrix::zeros(self.rows(), n);
+        if k == 0 {
+            return out;
+        }
+        let rows = self.as_slice().chunks_exact(k);
+        for (a_row, out_row) in rows.zip(out.as_mut_slice().chunks_exact_mut(n.max(1))) {
+            for (o, b_row) in out_row.iter_mut().zip(other.as_slice().chunks_exact(k)) {
+                *o = kernels::dot_serial(a_row, b_row);
+            }
         }
         out
     }
@@ -199,21 +173,8 @@ impl Matrix {
     /// # Panics
     /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_transpose_b_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols(),
-            other.cols(),
-            "matmul_transpose_b_into: inner dims {} vs {}",
-            self.cols(),
-            other.cols()
-        );
-        let _t = scope(Kernel::Matmul);
-        let (m, k, n) = (self.rows(), self.cols(), other.rows());
-        out.resize_for_overwrite(m, n);
-        let a = self.as_slice();
-        let b = other.as_slice();
-        for (r, out_row) in out.as_mut_slice().chunks_exact_mut(n.max(1)).enumerate() {
-            tb_row::<false>(&a[r * k..(r + 1) * k], b, k, out_row);
-        }
+        out.resize_for_overwrite(self.rows(), other.rows());
+        self.project_into([other], |_| true, out);
     }
 
     /// `selfᵀ · other` without materializing the transpose.
@@ -230,37 +191,22 @@ impl Matrix {
         );
         let _t = scope(Kernel::Matmul);
         let (k, m, n) = (self.rows(), self.cols(), other.cols());
-        // Accumulate outer products sequentially; the output is
-        // weight-shaped (small — it stays cache-resident across the
-        // whole ki sweep), so contention-free accumulation beats
-        // parallelizing here unless the batch is very large. Both
-        // paths walk ki ascending per output element via the shared
-        // axpy kernel.
         let mut out = Matrix::zeros(m, n);
-        let a = self.as_slice();
-        let b = other.as_slice();
-        if k * m * n >= PAR_THRESHOLD && m >= 8 {
-            let o = out.as_mut_slice();
-            o.par_chunks_mut(n).enumerate().for_each(|(mi, out_row)| {
-                for ki in 0..k {
-                    let av = a[ki * m + mi];
-                    if av != 0.0 {
-                        kernels::axpy(out_row, av, &b[ki * n..(ki + 1) * n]);
-                    }
-                }
-            });
-        } else {
-            let o = out.as_mut_slice();
-            for ki in 0..k {
-                let a_row = &a[ki * m..(ki + 1) * m];
-                let b_row = &b[ki * n..(ki + 1) * n];
-                for (mi, &av) in a_row.iter().enumerate() {
-                    if av != 0.0 {
-                        kernels::axpy(&mut o[mi * n..(mi + 1) * n], av, b_row);
-                    }
-                }
-            }
-        }
+        let at = kernels::Strides {
+            origin: 0,
+            row: 1,
+            step: m,
+        };
+        kernels::gemm_axpy(
+            self.as_slice(),
+            at,
+            m,
+            k,
+            other.as_slice(),
+            n,
+            n,
+            out.as_mut_slice(),
+        );
         out
     }
 
@@ -346,11 +292,10 @@ mod tests {
 
     #[test]
     fn large_matmul_parallel_path_matches_sequential() {
-        // 1024 × 512 · 512 × 600 = 314M mult-adds — crosses
-        // PAR_THRESHOLD, so this exercises the rayon path; sparse
+        // 1024 × 512 · 512 × 600 = 314M mult-adds — several row, step
+        // and column blocks of the one `gemm_axpy` body; sparse
         // sampling against a scalar reference keeps the check cheap.
         let (m, k, n) = (1024, 512, 600);
-        assert!(m * k * n >= crate::PAR_THRESHOLD);
         let a = Matrix::from_fn(m, k, |r, c| ((r * 31 + c * 7) % 13) as f32 - 6.0);
         let b = Matrix::from_fn(k, n, |r, c| ((r * 17 + c * 5) % 11) as f32 - 5.0);
         let fast = a.matmul(&b);

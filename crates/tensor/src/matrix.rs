@@ -7,8 +7,8 @@ use serde::{Deserialize, Serialize};
 /// This is the only tensor type in the workspace: vectors are `1 × n`
 /// or `n × 1` matrices, and batched node states are `batch × dim`
 /// matrices. Storage is one contiguous allocation, so row slices are
-/// plain `&[f32]` and kernels can use `chunks_exact` / rayon
-/// `par_chunks_mut` without indirection.
+/// plain `&[f32]` and kernels can use `chunks_exact` without
+/// indirection.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,

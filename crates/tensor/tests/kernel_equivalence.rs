@@ -27,6 +27,59 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Seeded `r × c` matrix in `[-1, 1)` in which about two entries in
+/// seven are an exact zero, half of them `-0.0` — the values the GEMM
+/// zero-skip branches on.
+fn zero_laced(r: usize, c: usize, seed: u32) -> Matrix {
+    let v = (0..r * c)
+        .map(|i| {
+            let h = (i as u32).wrapping_mul(2654435761).wrapping_add(seed) >> 8;
+            match h % 7 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => (h as f32 / 8388608.0) - 1.0,
+            }
+        })
+        .collect();
+    Matrix::from_vec(r, c, v)
+}
+
+/// Runs `f` on the scalar path and on the dispatched one (AVX2 where
+/// compiled and detected; scalar again under `DISTTGL_SIMD=0` or
+/// `--no-default-features`).
+fn on_both_paths(
+    mut f: impl FnMut(&str) -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError> {
+    kernels::force_scalar(true);
+    let scalar = f("scalar");
+    kernels::force_scalar(false);
+    scalar?;
+    f("dispatched")
+}
+
+/// `out[r][j] += Σ_s a(r, s) · b[s][j]` the way the contract defines
+/// it: ascending `s`, multiply then add, zero multipliers skipped.
+fn axpy_chain_reference(
+    rows: usize,
+    steps: usize,
+    w: usize,
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; rows * w];
+    for r in 0..rows {
+        for s in 0..steps {
+            let av = a(r, s);
+            if av != 0.0 {
+                for j in 0..w {
+                    out[r * w + j] += av * b(s, j);
+                }
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -179,6 +232,101 @@ proptest! {
         }
     }
 
+    /// The fused, row-masked, register-tiled `A · [P₀; P₁]ᵀ` ≡ one
+    /// scalar laned dot per kept element and an untouched zero per
+    /// masked one — over odd `m`, `n % 4 ≠ 0`, `k % 8 ≠ 0`, `k < 8`,
+    /// empty panels, all-padding and zero-count blocks.
+    #[test]
+    fn fused_masked_transpose_b_matches_scalar_dots(
+        n_slots in 1usize..5,
+        counts in proptest::collection::vec(0usize..6, 0..5),
+        k in 1usize..30,
+        n0 in 0usize..7,
+        n1 in 0usize..7,
+        seed in 0u32..1000
+    ) {
+        let m = counts.len() * n_slots;
+        let a = zero_laced(m, k, seed);
+        let p0 = zero_laced(n0, k, seed ^ 0x5bd1);
+        let p1 = zero_laced(n1, k, seed ^ 0x9e37);
+        let keep = |r: usize| r % n_slots < counts[r / n_slots];
+        on_both_paths(|path| {
+            let fused = a.matmul_transpose_b_panels([&p0, &p1], keep);
+            prop_assert_eq!(fused.shape(), (m, n0 + n1));
+            for r in 0..m {
+                let b_rows = p0.rows_iter().chain(p1.rows_iter());
+                for (j, b_row) in b_rows.enumerate() {
+                    let want = if keep(r) { kernels::dot_scalar(a.row(r), b_row) } else { 0.0 };
+                    prop_assert_eq!(
+                        fused.get(r, j).to_bits(), want.to_bits(), "{} ({}, {})", path, r, j
+                    );
+                }
+            }
+            // One panel, every row: the plain entry point, same body.
+            let plain = a.matmul_transpose_b(&p0);
+            for r in 0..m {
+                for (j, b_row) in p0.rows_iter().enumerate() {
+                    prop_assert_eq!(
+                        plain.get(r, j).to_bits(),
+                        kernels::dot_scalar(a.row(r), b_row).to_bits(),
+                        "{} plain ({}, {})", path, r, j
+                    );
+                }
+            }
+            Ok(())
+        })?;
+    }
+
+    /// The tiled, step-blocked `Aᵀ · B` ≡ the ascending-`k` axpy chain
+    /// per element, zero skip included: a step whose multipliers are
+    /// all `±0.0` (a padded row's gradient) must not even read its `B`
+    /// row, here poisoned with infinities. Odd `m`, `m % 4 ≠ 0`,
+    /// `n % 16 ≠ 0`, `n % 8 ≠ 0`, empty operands.
+    #[test]
+    fn tiled_transpose_a_matches_axpy_chain(
+        kk in 0usize..40, m in 0usize..11, n in 0usize..37, seed in 0u32..1000
+    ) {
+        let mut a = zero_laced(kk, m, seed);
+        let mut b = zero_laced(kk, n, seed ^ 0x7f4a);
+        for s in (0..kk).filter(|s| (s + seed as usize).is_multiple_of(5)) {
+            for (i, v) in a.row_mut(s).iter_mut().enumerate() {
+                *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+            b.row_mut(s).fill(f32::INFINITY);
+        }
+        let want = axpy_chain_reference(m, kk, n, |r, s| a.get(s, r), |s, j| b.get(s, j));
+        prop_assert!(want.iter().all(|v| v.is_finite()));
+        on_both_paths(|path| {
+            let got = a.matmul_transpose_a(&b);
+            prop_assert_eq!(got.shape(), (m, n));
+            prop_assert_eq!(bits(got.as_slice()), bits(&want), "{}", path);
+            Ok(())
+        })?;
+    }
+
+    /// A column range of `A` times an output-column window of `B` ≡ the
+    /// same elements of the full product of the copied-out blocks.
+    #[test]
+    fn windowed_matmul_matches_full_product_columns(
+        m in 0usize..7, k in 1usize..20, n in 1usize..37,
+        from in 0usize..20, len in 0usize..20, window in 0usize..37,
+        seed in 0u32..1000
+    ) {
+        let (from, window) = (from % k, window % (n + 1));
+        let len = len % (k - from + 1);
+        let a = zero_laced(m, k, seed);
+        let b = zero_laced(len, n, seed ^ 0x3c6e);
+        let want = axpy_chain_reference(
+            m, len, window, |r, s| a.get(r, from + s), |s, j| b.get(s, j),
+        );
+        on_both_paths(|path| {
+            let got = a.matmul_cols(from..from + len, &b, window);
+            prop_assert_eq!(got.shape(), (m, window));
+            prop_assert_eq!(bits(got.as_slice()), bits(&want), "{}", path);
+            Ok(())
+        })?;
+    }
+
     /// bf16 round-trip keeps every normal value within 2⁻⁸ relative
     /// error (half a bf16 ULP with round-to-nearest-even).
     #[test]
@@ -197,6 +345,33 @@ proptest! {
         let v = bf16_decode(b);
         if !v.is_nan() {
             prop_assert_eq!(bf16_encode(v), b);
+        }
+    }
+}
+
+/// Shapes past one row block (256), one step block (128) and several
+/// column tiles of the axpy-chain GEMM: resuming an element's chain
+/// across blocks must not reorder it.
+#[test]
+fn blocked_axpy_gemm_matches_chain_across_blocks() {
+    for (rows, steps, w) in [(5, 300, 37), (600, 9, 20), (261, 130, 220)] {
+        let a = zero_laced(rows, steps, 11);
+        let b = zero_laced(steps, w + 3, 12);
+        let want = axpy_chain_reference(rows, steps, w, |r, s| a.get(r, s), |s, j| b.get(s, j));
+        let at = a.transpose();
+        for scalar in [true, false] {
+            kernels::force_scalar(scalar);
+            let nn = a.matmul_cols(0..steps, &b, w);
+            let ta = at.matmul_transpose_a(&b);
+            kernels::force_scalar(false);
+            assert_eq!(bits(nn.as_slice()), bits(&want), "A·B {rows}x{steps}x{w}");
+            for r in 0..rows {
+                assert_eq!(
+                    bits(&ta.row(r)[..w]),
+                    bits(&want[r * w..(r + 1) * w]),
+                    "Aᵀ·B row {r}"
+                );
+            }
         }
     }
 }
