@@ -109,7 +109,7 @@ fn gru_stage_times(
             &mut cache,
             &mut s_hat,
         );
-        let _ = cell.backward(&mut params, &cache, &dh_occ);
+        cell.backward(&mut params, &cache, &dh_occ);
     });
 
     let mut expanded = Matrix::default();
@@ -126,7 +126,7 @@ fn gru_stage_times(
         );
         s_hat.expand_rows(&idx.occ_to_unique, &mut expanded);
         dh_occ.fold_rows_by_index(&idx.occ_to_unique, idx.num_unique(), &mut dh_fold);
-        let _ = cell.backward(&mut params, &cache, &dh_fold);
+        cell.backward(&mut params, &cache, &dh_fold);
     });
     StageTimes {
         unfolded,

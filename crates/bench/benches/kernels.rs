@@ -9,8 +9,8 @@
 //!    runs: `A · Bᵀ` scores (frontier rows × d), the fused GRU cell,
 //!    row softmax, and the row gather. Every A/B pair is also checked
 //!    bit-identical — the speedup may never buy a different number.
-//! 2. **Blocked vs serial matmul** — the register-blocked `dot4` path
-//!    against the serial-reduction reference
+//! 2. **Blocked vs serial matmul** — the register-tiled `gemm_tb` body
+//!    (`matmul_transpose_b`) against the serial-reduction reference
 //!    (`matmul_transpose_b_serial`), the ≥2× headline number.
 //! 3. **End-to-end trainer delta** — `train_single` events/s with
 //!    kernels dispatched vs forced scalar, bit-identical losses.

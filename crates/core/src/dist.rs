@@ -261,6 +261,9 @@ pub fn train_distributed(
     let comm_group = CommunicatorGroup::new(spec, NetworkModel::t4_testbed());
     let dataset_arc: Arc<Dataset> = Arc::new(dataset.clone());
 
+    // Every lane computes at once, so each gets an equal share of the
+    // cores as its intra-op budget (1 whenever lanes ≥ cores).
+    let lane_budget = (crate::single::host_cores() / world).max(1);
     let start = Instant::now();
     let mut handles = Vec::with_capacity(world);
     for rank in 0..world {
@@ -280,7 +283,7 @@ pub fn train_distributed(
             std::thread::Builder::new()
                 .name(format!("disttgl-trainer-{rank}"))
                 .spawn(move || {
-                    trainer_main(TrainerCtx {
+                    let ctx = TrainerCtx {
                         rank,
                         group,
                         jg,
@@ -298,7 +301,8 @@ pub fn train_distributed(
                         val_end,
                         start,
                         resume,
-                    })
+                    };
+                    disttgl_tensor::par::with_budget(lane_budget, || trainer_main(ctx))
                 })
                 .expect("spawn trainer"),
         );

@@ -577,10 +577,9 @@ impl TgnModel {
             }
             None => d_s_hat.hadamard(&scratch.mask),
         };
-        let (_dmail, _dmem) = self
-            .gru
-            .backward(&mut self.params, &scratch.gru, &d_gru_out);
         // No BPTT: gradients stop at the fetched memory and mails.
+        self.gru
+            .backward(&mut self.params, &scratch.gru, &d_gru_out);
     }
 
     /// The decoder head (crate-internal: the inference engine scores
@@ -1210,6 +1209,43 @@ mod tests {
                     |m: &Matrix| m.as_slice().iter().map(|g| g.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(f), bits(l), "{}", fixed.name(idx));
             }
+        }
+    }
+
+    /// The intra-op budget moves no bit of a training step: at 1 and 2
+    /// layers, budget 1 and budget 2 give the same loss, every
+    /// parameter gradient and the same memory write. The products are
+    /// past the split threshold, so budget 2 really splits them.
+    #[test]
+    fn train_step_is_bit_identical_under_any_intra_op_budget() {
+        let (d, csr, cfg) = setup();
+        let store = NegativeStore::generate(&d.graph, 128, 1, 1, 3);
+        let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        for layers in [1, 2] {
+            let cfg = cfg.clone().with_layers(layers);
+            let step = || {
+                let mut model = TgnModel::new(cfg.clone(), &mut seeded_rng(13));
+                let prep = BatchPreparer::new(&d, &csr, &cfg);
+                let mut mem = MemoryState::new(d.graph.num_nodes(), cfg.d_mem, cfg.mail_dim());
+                // Two steps, so the second reads non-trivial memory.
+                let mut seen = Vec::new();
+                for range in [0..64usize, 64..128] {
+                    let batch = prep.prepare(range.clone(), &[store.slice(0, range)], 1, &mut mem);
+                    model.params.zero_grads();
+                    let out = model.train_step(&batch.pos, Some(&batch.negs[0]), None);
+                    seen.push(out.loss.to_bits());
+                    seen.extend(bits(&model.params.flatten_grads()));
+                    seen.extend(bits(out.write.mem.as_slice()));
+                    seen.extend(bits(out.write.mail.as_slice()));
+                    MemoryAccess::write(&mut mem, out.write);
+                }
+                seen
+            };
+            let unsplit = disttgl_tensor::par::with_budget(1, step);
+            assert!(
+                disttgl_tensor::par::with_budget(2, step) == unsplit,
+                "{layers} layers"
+            );
         }
     }
 

@@ -14,7 +14,7 @@ use crate::static_mem::StaticMemory;
 use disttgl_data::{Dataset, NegativeStore, Task};
 use disttgl_graph::{batching, TCsr};
 use disttgl_mem::MemoryState;
-use disttgl_tensor::seeded_rng;
+use disttgl_tensor::{par, seeded_rng};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
@@ -65,7 +65,27 @@ pub fn train_single_pipelined_traced(
     run_single(dataset, model_cfg, cfg, true)
 }
 
+/// The cores this process may run on (1 when unknown, or when pinned
+/// to one core) — what executors divide into intra-op budgets.
+pub(crate) fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// The one trainer thread is the only one computing, so every core is
+/// its intra-op budget — for training, evaluation and the final replay
+/// alike.
 fn run_single(
+    dataset: &Dataset,
+    model_cfg: &ModelConfig,
+    cfg: &TrainConfig,
+    pipelined: bool,
+) -> (RunResult, MemoryState) {
+    par::with_budget(host_cores(), || {
+        train_loop(dataset, model_cfg, cfg, pipelined)
+    })
+}
+
+fn train_loop(
     dataset: &Dataset,
     model_cfg: &ModelConfig,
     cfg: &TrainConfig,

@@ -2,10 +2,9 @@
 //!
 //! `s_u = UPDT(s_u, m_u)` where the mail `m_u` is the input and the node
 //! memory `s_u` is the hidden state. Matching TGN-attn, gradients do
-//! **not** flow back through time: the backward pass returns the
-//! gradient w.r.t. the mail input and (optionally, for tests) w.r.t. the
-//! incoming hidden state, but the training loop never chains the latter
-//! into a previous step.
+//! **not** flow back through time, nor into the fetched mail: the
+//! backward pass accumulates the cell's weight and bias gradients and
+//! computes no gradient w.r.t. either input.
 //!
 //! Gate equations (PyTorch `GRUCell` convention):
 //! ```text
@@ -248,15 +247,11 @@ impl GruCell {
         self.forward(params, x, h).0
     }
 
-    /// Backward step. Accumulates weight/bias gradients and returns
-    /// `(dx, dh)` — the training loop uses `dx` (mail path) and discards
-    /// `dh` per the no-BPTT rule of M-TGNN training.
-    pub fn backward(
-        &self,
-        params: &mut ParamSet,
-        cache: &GruCache,
-        dh_new: &Matrix,
-    ) -> (Matrix, Matrix) {
+    /// Backward step: accumulates the weight and bias gradients. The
+    /// gradients w.r.t. the mail input and the incoming memory are not
+    /// computed — the no-BPTT rule of M-TGNN training stops gradients
+    /// at the fetched memory and mails.
+    pub fn backward(&self, params: &mut ParamSet, cache: &GruCache, dh_new: &Matrix) {
         let GruCache {
             x, h, r, z, n, a, ..
         } = cache;
@@ -264,7 +259,6 @@ impl GruCell {
         // h' = (1 − z) ⊙ n + z ⊙ h
         let dz = dh_new.hadamard(&h.sub(n));
         let dn = dh_new.hadamard(&z.map(|v| 1.0 - v));
-        let mut dh = dh_new.hadamard(z);
 
         // Through tanh: n = tanh(n_pre)
         let dn_pre = dn.hadamard(&n.tanh_deriv_from_output());
@@ -275,24 +269,21 @@ impl GruCell {
         let dr_pre = dr.hadamard(&r.sigmoid_deriv_from_output());
         let dz_pre = dz.hadamard(&z.sigmoid_deriv_from_output());
 
-        // Weight gradients (dW = dpreᵀ·input) and input gradients.
+        // dW = dpreᵀ·input, db = Σ_rows dpre.
         let acc = |p: &mut ParamSet, dpre: &Matrix, wi: usize, bi: usize, inp: &Matrix| {
             let dw = dpre.matmul_transpose_a(inp);
             p.get_mut(wi).g.add_assign(&dw);
             let db = dpre.sum_rows();
             p.get_mut(bi).g.add_assign(&db);
-            dpre.matmul(&p.get(wi).w)
         };
 
-        let mut dx = acc(params, &dr_pre, self.w_ir, self.b_ir, x);
-        dx.add_assign(&acc(params, &dz_pre, self.w_iz, self.b_iz, x));
-        dx.add_assign(&acc(params, &dn_pre, self.w_in, self.b_in, x));
+        acc(params, &dr_pre, self.w_ir, self.b_ir, x);
+        acc(params, &dz_pre, self.w_iz, self.b_iz, x);
+        acc(params, &dn_pre, self.w_in, self.b_in, x);
 
-        dh.add_assign(&acc(params, &dr_pre, self.w_hr, self.b_hr, h));
-        dh.add_assign(&acc(params, &dz_pre, self.w_hz, self.b_hz, h));
-        dh.add_assign(&acc(params, &da, self.w_hn, self.b_hn, h));
-
-        (dx, dh)
+        acc(params, &dr_pre, self.w_hr, self.b_hr, h);
+        acc(params, &dz_pre, self.w_hz, self.b_hz, h);
+        acc(params, &da, self.w_hn, self.b_hn, h);
     }
 }
 
@@ -345,14 +336,14 @@ mod tests {
         }
     }
 
-    /// Finite-difference check of every weight gradient plus dx and dh.
+    /// Finite-difference check of every weight and bias gradient.
     #[test]
     fn gradient_check_full() {
         let (mut ps, cell, x, h) = setup(3, 2, 2);
         let (y, cache) = cell.forward(&ps, &x, &h);
         let ones = Matrix::full(y.rows(), y.cols(), 1.0);
         ps.zero_grads();
-        let (dx, dh) = cell.backward(&mut ps, &cache, &ones);
+        cell.backward(&mut ps, &cache, &ones);
 
         let eps = 1e-2;
         let loss = |p: &ParamSet, xx: &Matrix, hh: &Matrix| cell.infer(p, xx, hh).sum();
@@ -376,34 +367,6 @@ mod tests {
                         ps.name(idx)
                     );
                 }
-            }
-        }
-        // dx
-        for r in 0..x.rows() {
-            for c in 0..x.cols() {
-                let mut xp = x.clone();
-                xp.set(r, c, x.get(r, c) + eps);
-                let mut xm = x.clone();
-                xm.set(r, c, x.get(r, c) - eps);
-                let num = (loss(&ps, &xp, &h) - loss(&ps, &xm, &h)) / (2.0 * eps);
-                assert!(
-                    (num - dx.get(r, c)).abs() < 2e-2 * (1.0 + num.abs()),
-                    "dx[{r},{c}]"
-                );
-            }
-        }
-        // dh
-        for r in 0..h.rows() {
-            for c in 0..h.cols() {
-                let mut hp = h.clone();
-                hp.set(r, c, h.get(r, c) + eps);
-                let mut hm = h.clone();
-                hm.set(r, c, h.get(r, c) - eps);
-                let num = (loss(&ps, &x, &hp) - loss(&ps, &x, &hm)) / (2.0 * eps);
-                assert!(
-                    (num - dh.get(r, c)).abs() < 2e-2 * (1.0 + num.abs()),
-                    "dh[{r},{c}]"
-                );
             }
         }
     }

@@ -104,7 +104,7 @@ impl Linear {
         layers: [Linear; L],
         params: &ParamSet,
         x: &Matrix,
-        keep_row: impl Fn(usize) -> bool,
+        keep_row: impl Fn(usize) -> bool + Sync,
     ) -> Matrix {
         for l in &layers {
             assert_eq!(x.cols(), l.in_dim, "Linear::forward: input width");

@@ -114,32 +114,6 @@ pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     fold8(acc) + dot_serial(&a[main..], &b[main..])
 }
 
-/// Four simultaneous dot products of one shared `a` against four `b`
-/// rows — one row of the register tile `gemm_tb` is built from. Each
-/// output is bit-identical to [`dot`] of the same pair: the blocking
-/// shares *loads* of `a`, not accumulators. A single-accumulator dot is
-/// latency-bound on the FP add chain; four independent chains saturate
-/// the FMA ports and quadruple throughput at identical numerics.
-#[inline]
-pub fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    assert!(
-        [b0, b1, b2, b3].iter().all(|b| b.len() == a.len()),
-        "dot4: length mismatch"
-    );
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_active() {
-        // SAFETY: `simd_active()` verified AVX2 support at runtime; the
-        // lengths were just checked equal.
-        return unsafe { avx2::dot4(a, b0, b1, b2, b3) };
-    }
-    [
-        dot_scalar(a, b0),
-        dot_scalar(a, b1),
-        dot_scalar(a, b2),
-        dot_scalar(a, b3),
-    ]
-}
-
 /// Plain serial-reduction dot — the pre-optimization numerics, kept
 /// as the correctness reference for kernel A/B tests and for the
 /// scalar remainder tails (both paths share this exact loop).
@@ -307,7 +281,8 @@ pub fn gru_combine(o: &mut [f32], n: &[f32], z: &[f32], h: &[f32]) {
 /// Every output element is exactly [`dot`] of its `(a row, panel row)`
 /// pair — its own eight lanes, chunk order, fold and serial tail — so
 /// the register tile (two `a` rows share each panel-row load), the
-/// panel fusion and the row selection cannot move a bit.
+/// panel fusion, the row selection and the row split across threads
+/// ([`crate::par`]) cannot move a bit.
 ///
 /// # Panics
 /// Panics if `k == 0`, a length is not a multiple of `k`, or `out` is
@@ -316,7 +291,7 @@ pub(crate) fn gemm_tb(
     a: &[f32],
     k: usize,
     panels: &[&[f32]],
-    keep_row: impl Fn(usize) -> bool,
+    keep_row: impl Fn(usize) -> bool + Sync,
     out: &mut [f32],
 ) {
     assert!(
@@ -328,23 +303,29 @@ pub(crate) fn gemm_tb(
         "gemm_tb: panel is not n × {k}"
     );
     let n: usize = panels.iter().map(|p| p.len() / k).sum();
-    assert_eq!(out.len(), a.len() / k * n, "gemm_tb: out is not m × {n}");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_active() {
-        // SAFETY: `simd_active()` verified AVX2 support at runtime; the
-        // asserts above establish the shapes the body indexes by.
-        unsafe { avx2::gemm_tb(a, k, panels, keep_row, out) };
-        return;
-    }
-    let rows = a.chunks_exact(k).zip(out.chunks_exact_mut(n.max(1)));
-    for (r, (a_row, out_row)) in rows.enumerate() {
-        if keep_row(r) {
-            let b_rows = panels.iter().flat_map(|p| p.chunks_exact(k));
-            for (o, b_row) in out_row.iter_mut().zip(b_rows) {
-                *o = dot_scalar(a_row, b_row);
+    let m = a.len() / k;
+    assert_eq!(out.len(), m * n, "gemm_tb: out is not m × {n}");
+    crate::par::split_rows(out, m, m * k * n, |part, out| {
+        let a = &a[part.start * k..part.end * k];
+        let keep_row = |r| keep_row(part.start + r);
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if simd_active() {
+            // SAFETY: `simd_active()` verified AVX2 support at runtime;
+            // the asserts above establish the shapes the body indexes
+            // by, and a row part keeps them.
+            unsafe { avx2::gemm_tb(a, k, panels, keep_row, out) };
+            return;
+        }
+        let rows = a.chunks_exact(k).zip(out.chunks_exact_mut(n.max(1)));
+        for (r, (a_row, out_row)) in rows.enumerate() {
+            if keep_row(r) {
+                let b_rows = panels.iter().flat_map(|p| p.chunks_exact(k));
+                for (o, b_row) in out_row.iter_mut().zip(b_rows) {
+                    *o = dot_scalar(a_row, b_row);
+                }
             }
         }
-    }
+    });
 }
 
 /// Where the left operand of [`gemm_axpy`] keeps the multiplier of
@@ -373,8 +354,9 @@ pub(crate) struct Strides {
 /// mix).
 ///
 /// The AVX2 body keeps a 4 × 16 tile of `out` in registers across a
-/// block of steps; tiling and blocking only decide *when* an element's
-/// next update happens, never its order.
+/// block of steps; tiling, blocking and the row split across threads
+/// ([`crate::par`]) only decide *when* and *where* an element's next
+/// update happens, never its order.
 ///
 /// # Panics
 /// Panics if `w > ldb`, `out` is not `rows × w`, or `a`/`b` are too
@@ -403,23 +385,30 @@ pub(crate) fn gemm_axpy(
         at.origin + (rows - 1) * at.row + (steps - 1) * at.step < a.len(),
         "gemm_axpy: a shorter than {rows} × {steps}"
     );
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_active() {
-        // SAFETY: `simd_active()` verified AVX2 support at runtime; the
-        // asserts above bound every index the body forms.
-        unsafe { avx2::gemm_axpy(a, at, rows, steps, b, ldb, w, out) };
-        return;
-    }
-    for (r, out_row) in out.chunks_exact_mut(w).enumerate() {
-        for s in 0..steps {
-            let av = a[at.origin + r * at.row + s * at.step];
-            if av != 0.0 {
-                for (o, &bv) in out_row.iter_mut().zip(&b[s * ldb..s * ldb + w]) {
-                    *o += av * bv;
+    crate::par::split_rows(out, rows, rows * steps * w, |part, out| {
+        let at = Strides {
+            origin: at.origin + part.start * at.row,
+            ..at
+        };
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if simd_active() {
+            // SAFETY: `simd_active()` verified AVX2 support at runtime;
+            // the asserts above bound every index the body forms, and
+            // a row part shifted to its first row stays inside them.
+            unsafe { avx2::gemm_axpy(a, at, part.len(), steps, b, ldb, w, out) };
+            return;
+        }
+        for (r, out_row) in out.chunks_exact_mut(w).enumerate() {
+            for s in 0..steps {
+                let av = a[at.origin + r * at.row + s * at.step];
+                if av != 0.0 {
+                    for (o, &bv) in out_row.iter_mut().zip(&b[s * ldb..s * ldb + w]) {
+                        *o += av * bv;
+                    }
                 }
             }
         }
-    }
+    });
 }
 
 /// The fixed lane-fold tree shared by every 8-lane reduction:
@@ -504,14 +493,6 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
         dot_tile([a.as_ptr()], [b.as_ptr()], a.len())[0][0]
-    }
-
-    /// # Safety
-    /// Requires AVX2 and all five slices of one length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-        let b = [b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr()];
-        dot_tile([a.as_ptr()], b, a.len())[0]
     }
 
     /// AVX2 body of [`super::gemm_tb`]: kept rows are taken two at a
@@ -884,19 +865,6 @@ mod tests {
             let a = vals(len, 1);
             let b = vals(len, 2);
             both_paths(|| dot(&a, &b).to_bits());
-        }
-    }
-
-    #[test]
-    fn dot4_columns_match_dot() {
-        for len in [3, 8, 13, 48, 61, 212] {
-            let a = vals(len, 3);
-            let bs: Vec<Vec<f32>> = (0..4).map(|s| vals(len, 10 + s)).collect();
-            force_scalar(false);
-            let quad = dot4(&a, &bs[0], &bs[1], &bs[2], &bs[3]);
-            for (c, b) in bs.iter().enumerate() {
-                assert_eq!(quad[c].to_bits(), dot(&a, b).to_bits(), "len {len} col {c}");
-            }
         }
     }
 

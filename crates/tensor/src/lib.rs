@@ -5,16 +5,21 @@
 //! The DistTGL paper runs on PyTorch; this crate is the minimal
 //! replacement needed by a memory-based temporal GNN: a row-major 2-D
 //! [`Matrix`] with the kernels the model's forward *and hand-written
-//! backward* passes need — matmul (register-tiled, single-threaded),
-//! elementwise arithmetic, activations, row-wise softmax, row
-//! gather/scatter, and column concatenation.
+//! backward* passes need — matmul (register-tiled, row-split across
+//! threads when the caller's budget allows), elementwise arithmetic,
+//! activations, row-wise softmax, row gather/scatter, and column
+//! concatenation.
 //!
 //! Design notes (following the hpc-parallel guides):
 //! * storage is a single contiguous `Vec<f32>` — no per-row allocation;
 //! * hot kernels take `&mut` outputs so callers can reuse buffers;
-//! * every kernel runs on the calling thread — parallelism is the
-//!   *inter*-trainer parallelism of `disttgl-cluster` (each trainer
-//!   thread drives its own ops);
+//! * every kernel runs on the calling thread except a large GEMM, whose
+//!   output rows are split across [`par`]'s helper pool up to the
+//!   calling thread's *intra-op budget*. The budget is 1 unless the
+//!   executor that owns the thread raises it, and executors give out
+//!   only the cores their own concurrently computing threads leave
+//!   free (the *inter*-trainer parallelism of `disttgl-cluster` comes
+//!   first), so a split never oversubscribes the host;
 //! * all random initialization is seeded (`rand_chacha`) so every
 //!   experiment in the paper-reproduction harness is deterministic.
 //!
@@ -25,7 +30,9 @@
 //! schedule, or instruction set: dots and sums use eight fixed
 //! accumulator lanes with a fixed fold tree and a serial remainder
 //! tail; matmul variants accumulate each output element in ascending
-//! inner-index order regardless of cache blocking. The AVX2 tier in
+//! inner-index order regardless of cache blocking. Which thread
+//! computes an element is free, so the intra-op budget never changes
+//! a bit. The AVX2 tier in
 //! [`kernels`] maps those lanes 1:1 onto `__m256` registers (multiply
 //! then add, never fused), so **SIMD-on and SIMD-off runs are
 //! bit-identical** — toggling the `simd` feature, running on a CPU
@@ -51,6 +58,7 @@ pub mod kernels;
 mod linalg;
 mod matrix;
 mod ops;
+pub mod par;
 mod rows;
 pub mod timing;
 

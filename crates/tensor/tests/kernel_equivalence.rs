@@ -12,9 +12,13 @@
 //! The references for the elementwise kernels are written out as plain
 //! loops here (not calls back into the crate) so a reordering bug in
 //! the shared scalar body cannot hide itself.
+//!
+//! The row-split cases run every GEMM entry point under intra-op
+//! budgets 2 and 3 against budget 1, on both paths: which thread
+//! computes an element must never change it.
 
 use disttgl_tensor::bf16::{bf16_decode, bf16_encode};
-use disttgl_tensor::{kernels, Matrix};
+use disttgl_tensor::{kernels, par, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a vector whose length lands on interesting lane
@@ -91,22 +95,6 @@ proptest! {
             kernels::dot(&a, &b).to_bits(),
             kernels::dot_scalar(&a, &b).to_bits()
         );
-    }
-
-    /// Each register-blocked dot4 column ≡ the lone dot of that pair.
-    #[test]
-    fn dot4_columns_match_scalar_dot(a in lanes_vec()) {
-        let rows: Vec<Vec<f32>> = (0..4)
-            .map(|s| a.iter().map(|&x| x * (0.3 + s as f32) - 1.0).collect())
-            .collect();
-        let quad = kernels::dot4(&a, &rows[0], &rows[1], &rows[2], &rows[3]);
-        for (c, row) in rows.iter().enumerate() {
-            prop_assert_eq!(
-                quad[c].to_bits(),
-                kernels::dot_scalar(&a, row).to_bits(),
-                "column {}", c
-            );
-        }
     }
 
     /// Laned sum and row max match their scalar references.
@@ -209,7 +197,7 @@ proptest! {
         }
     }
 
-    /// `A · Bᵀ` (register-blocked dot4 path) ≡ scalar dot per element.
+    /// `A · Bᵀ` (register-tiled `gemm_tb`) ≡ scalar dot per element.
     #[test]
     fn matmul_transpose_b_matches_scalar_dots(
         m in 1usize..6, k in 1usize..80, n in 1usize..10
@@ -327,6 +315,50 @@ proptest! {
         })?;
     }
 
+    /// Intra-op budgets 1, 2 and 3 give bit-identical products from
+    /// every GEMM entry point, masked rows and all-masked blocks
+    /// included. Sizes straddle the split threshold, and row counts are
+    /// odd, below one 4-row part, or fewer than the threads.
+    #[test]
+    fn row_split_products_match_unsplit(
+        m in 1usize..40,
+        k in 1usize..70,
+        madds in (par::SPLIT_MADDS / 2)..(par::SPLIT_MADDS * 2),
+        n_slots in 1usize..4,
+        seed in 0u32..1000
+    ) {
+        let n = (madds / (m * k)).max(1);
+        let from = k / 3;
+        let a = zero_laced(m, k, seed);
+        let at = zero_laced(k, m, seed ^ 0x11);
+        let b = zero_laced(k, n, seed ^ 0x22);
+        let b_cols = zero_laced(k - from, n, seed ^ 0x33);
+        let bt = zero_laced(n, k, seed ^ 0x44);
+        let p1 = zero_laced(3, k, seed ^ 0x55);
+        let counts: Vec<usize> = (0..m.div_ceil(n_slots))
+            .map(|i| (i * 7 + seed as usize) % (n_slots + 1))
+            .collect();
+        let keep = |r: usize| r % n_slots < counts[r / n_slots];
+        let products = || {
+            [
+                a.matmul(&b),
+                a.matmul_cols(from..k, &b_cols, n / 2 + 1),
+                at.matmul_transpose_a(&b),
+                a.matmul_transpose_b(&bt),
+                a.matmul_transpose_b_panels([&bt, &p1], keep),
+            ]
+            .map(|p| bits(p.as_slice()))
+        };
+        on_both_paths(|path| {
+            let unsplit = par::with_budget(1, products);
+            for budget in [2, 3] {
+                let split = par::with_budget(budget, products);
+                prop_assert!(split == unsplit, "{} budget {}", path, budget);
+            }
+            Ok(())
+        })?;
+    }
+
     /// bf16 round-trip keeps every normal value within 2⁻⁸ relative
     /// error (half a bf16 ULP with round-to-nearest-even).
     #[test]
@@ -374,4 +406,30 @@ fn blocked_axpy_gemm_matches_chain_across_blocks() {
             }
         }
     }
+}
+
+/// Four threads, each with budget 2, run large products at once: they
+/// contend for the one posted-product slot, so some post to the pool
+/// while others run their parts inline. Every product must come out
+/// with the unsplit bits, and nothing may hang.
+#[test]
+fn concurrent_budgeted_products_are_exact() {
+    let a = zero_laced(301, 220, 21);
+    let b = zero_laced(64, 220, 22);
+    let products =
+        || [a.matmul_transpose_b(&b), b.matmul(&a.transpose())].map(|p| bits(p.as_slice()));
+    let want = par::with_budget(1, products);
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                start.wait();
+                par::with_budget(2, || {
+                    for _ in 0..25 {
+                        assert!(products() == want, "a concurrent split product differs");
+                    }
+                });
+            });
+        }
+    });
 }
