@@ -8,7 +8,7 @@
 //!    before committing to the protocol): over a full training sweep
 //!    at the Table-2-analog shape, batch `t + 1`'s unique-node gather
 //!    is taken *before* batch `t`'s write lands — the maximal j ≥ 2
-//!    staleness window — and the delta counts the rows the write
+//!    staleness window — and the repair counts the rows the write
 //!    actually invalidated. PR 2's dedup shrank the repair *volume*
 //!    ~38×; this measures the *fraction* of the (now small) unique-row
 //!    set that still needs repair.
@@ -16,8 +16,8 @@
 //!    (j = 2, speculation on): `delta_rows / spec_rows` out of the
 //!    daemon's own counters.
 //! 3. **Modeled overlap speedup**: on the Acquire turn's critical path
-//!    the serialized full gather is replaced by the delta + patch (the
-//!    speculative gather runs inside the daemon's idle gaps). Host
+//!    the serialized full gather is replaced by the in-place repair
+//!    (the speculative gather runs inside the daemon's idle gaps). Host
 //!    stage times + the harness's simulated-GPU compute factor give
 //!    the modeled step-time ratio, with the usual sensitivity sweep.
 //! 4. **Host wall-clock** `train_distributed` speculation on vs off —
@@ -52,9 +52,8 @@ struct SweepResult {
     /// Mean per-batch stage times (seconds).
     gather_full: f64,
     spec_gather: f64,
-    /// Delta-ship + client-side apply (the inspectable general path).
-    delta_patch: f64,
-    /// Fused in-place repair (`repair_since`, the trainer hot path).
+    /// In-place repair (`MemoryState::repair` at bound 0, the Acquire
+    /// slot's work).
     repair: f64,
     split: f64,
     compute: f64,
@@ -77,7 +76,6 @@ fn measure_sweep(d: &Dataset, mc: &ModelConfig, batch: usize, train_end: usize) 
         stale_rows: 0,
         gather_full: 0.0,
         spec_gather: 0.0,
-        delta_patch: 0.0,
         repair: 0.0,
         split: 0.0,
         compute: 0.0,
@@ -98,30 +96,20 @@ fn measure_sweep(d: &Dataset, mc: &ModelConfig, batch: usize, train_end: usize) 
                 let tagged = mem.read_versioned(sb.nodes());
                 r.spec_gather += t0.elapsed().as_secs_f64();
                 mem.write(&w);
-                // General path (what the delta would ship): timed on a
-                // copy so the hot path below starts from the same
-                // tagged block.
-                let mut shipped = tagged.readout.clone();
-                let t0 = Instant::now();
-                let delta = mem.delta_since(sb.nodes(), &tagged.versions);
-                delta.apply(&mut shipped);
-                r.delta_patch += t0.elapsed().as_secs_f64();
-                // Critical-path work at the Acquire turn (the trainer
-                // hot path): fused in-place repair.
+                // Critical-path work at the Acquire turn: in-place
+                // repair.
                 let mut patched = tagged.readout;
                 let t0 = Instant::now();
-                let n_rep = mem.repair_since(sb.nodes(), &tagged.versions, &mut patched);
+                let outcome = mem.repair(sb.nodes(), &tagged.versions, &mut patched, 0);
                 r.repair += t0.elapsed().as_secs_f64();
-                assert_eq!(n_rep, delta.len());
                 r.unique_rows += sb.nodes().len() as u64;
-                r.stale_rows += delta.len() as u64;
+                r.stale_rows += outcome.repaired as u64;
                 // What the serialized turn would have paid instead —
                 // and the bit-identity check against it.
                 let t0 = Instant::now();
                 let serialized = mem.read(sb.nodes());
                 r.gather_full += t0.elapsed().as_secs_f64();
                 assert_eq!(patched.mem, serialized.mem, "repair != serialized read");
-                assert_eq!(shipped.mem, serialized.mem, "delta != serialized read");
                 assert_eq!(patched.mail_ts, serialized.mail_ts);
                 patched
             }
@@ -139,7 +127,6 @@ fn measure_sweep(d: &Dataset, mc: &ModelConfig, batch: usize, train_end: usize) 
     let n = batches.len() as f64;
     r.gather_full /= n_spec;
     r.spec_gather /= n_spec;
-    r.delta_patch /= n_spec;
     r.repair /= n_spec;
     r.split /= n;
     r.compute /= n;
@@ -190,7 +177,6 @@ fn main() {
         let rerun = measure_sweep(&d, &mc, batch, train_end);
         sweep.gather_full = sweep.gather_full.min(rerun.gather_full);
         sweep.spec_gather = sweep.spec_gather.min(rerun.spec_gather);
-        sweep.delta_patch = sweep.delta_patch.min(rerun.delta_patch);
         sweep.repair = sweep.repair.min(rerun.repair);
         sweep.split = sweep.split.min(rerun.split);
         sweep.compute = sweep.compute.min(rerun.compute);
@@ -204,20 +190,16 @@ fn main() {
         stale_fraction * 100.0
     );
     println!(
-        "per-batch stages: full gather {:.3}ms | spec gather {:.3}ms (hidden) | delta-ship {:.3}ms | fused repair {:.3}ms | split {:.3}ms | compute {:.2}ms (host)",
+        "per-batch stages: full gather {:.3}ms | spec gather {:.3}ms (hidden) | repair {:.3}ms | split {:.3}ms | compute {:.2}ms (host)",
         sweep.gather_full * 1e3,
         sweep.spec_gather * 1e3,
-        sweep.delta_patch * 1e3,
         sweep.repair * 1e3,
         sweep.split * 1e3,
         sweep.compute * 1e3
     );
     let mem_stage_speedup = sweep.gather_full / sweep.repair.max(1e-12);
     let repair_ratio = sweep.repair / sweep.gather_full.max(1e-12);
-    println!(
-        "memory-stage critical path: {mem_stage_speedup:.2}x (full gather -> fused repair; delta-ship path {:.2}x)",
-        sweep.gather_full / sweep.delta_patch.max(1e-12)
-    );
+    println!("memory-stage critical path: {mem_stage_speedup:.2}x (full gather -> repair)");
 
     let (seq_step, spec_step) = modeled_steps(&sweep, GPU_FACTOR);
     let modeled_speedup = seq_step / spec_step.max(1e-12);
@@ -305,7 +287,7 @@ fn main() {
          \"unique_rows\":{},\"stale_rows\":{},\"stale_fraction_unique\":{:.4},\
          \"protocol_spec_rows\":{},\"protocol_delta_rows\":{},\
          \"protocol_stale_fraction\":{:.4},\
-         \"gather_full_ms\":{:.3},\"spec_gather_ms\":{:.3},\"delta_ship_ms\":{:.3},\
+         \"gather_full_ms\":{:.3},\"spec_gather_ms\":{:.3},\
          \"fused_repair_ms\":{:.3},\"split_ms\":{:.3},\"compute_host_ms\":{:.3},\
          \"mem_stage_speedup\":{:.4},\"repair_ratio\":{:.4},\
          \"gpu_factor\":{:.1},\"modeled_speedup\":{:.4},\
@@ -324,7 +306,6 @@ fn main() {
         protocol_stale,
         sweep.gather_full * 1e3,
         sweep.spec_gather * 1e3,
-        sweep.delta_patch * 1e3,
         sweep.repair * 1e3,
         sweep.split * 1e3,
         sweep.compute * 1e3,

@@ -7,7 +7,7 @@ use disttgl_cluster::CommunicatorGroup;
 use disttgl_core::{BatchPreparer, MemoryAccess, ModelConfig, TgnModel};
 use disttgl_data::{generators, NegativeStore};
 use disttgl_graph::{RecentNeighborSampler, TCsr};
-use disttgl_mem::{MemoryDaemon, MemoryState, MemoryWrite};
+use disttgl_mem::{MemoryDaemon, MemoryReadout, MemoryState, MemoryWrite, ReadRequest};
 use disttgl_nn::{GruCell, ParamSet, TemporalAttention};
 use disttgl_tensor::{seeded_rng, Matrix};
 
@@ -77,14 +77,19 @@ fn bench_memory_daemon(c: &mut Criterion) {
             let client = daemon.client(0);
             let start = std::time::Instant::now();
             for _ in 0..iters {
-                let r = client.read(&nodes);
-                client.write(MemoryWrite {
-                    nodes: nodes.clone(),
-                    mem: r.mem,
-                    mem_ts: r.mem_ts,
-                    mail: r.mail,
-                    mail_ts: r.mail_ts,
-                });
+                let mut r = MemoryReadout::default();
+                client
+                    .read(ReadRequest::Full(nodes.clone()), &mut r)
+                    .expect("daemon read");
+                client
+                    .write(MemoryWrite {
+                        nodes: nodes.clone(),
+                        mem: r.mem,
+                        mem_ts: r.mem_ts,
+                        mail: r.mail,
+                        mail_ts: r.mail_ts,
+                    })
+                    .expect("daemon write");
             }
             let elapsed = start.elapsed();
             let _ = daemon.join();
@@ -104,7 +109,7 @@ fn bench_allreduce(c: &mut Criterion) {
                         let mut v = vec![r as f32; 100_000];
                         let start = std::time::Instant::now();
                         for _ in 0..iters {
-                            comm.allreduce_mean(&mut v);
+                            comm.allreduce_mean(&mut v).expect("allreduce");
                         }
                         start.elapsed()
                     })

@@ -9,7 +9,7 @@
 //!    final memory digests) — re-checked here so the bench artifact
 //!    can never report a speedup against a broken baseline. The full
 //!    proof lives in `tests/staleness_equivalence.rs`.
-//! 2. **Micro repair sweep**: `repair_lagged` vs `repair_since` on the
+//! 2. **Micro repair sweep**: `MemoryState::repair` at bound k vs bound 0 on the
 //!    Table-2-analog sweep with the speculation window pinned maximal
 //!    — per-batch Acquire-slot repair time and rows repaired vs
 //!    admitted as the bound grows. This is the host-measurable win:
@@ -87,7 +87,7 @@ fn measure_micro(
                 mem.write(&w);
                 let mut patched = tagged.readout;
                 let t0 = Instant::now();
-                let outcome = mem.repair_lagged(sb.nodes(), &tagged.versions, &mut patched, bound);
+                let outcome = mem.repair(sb.nodes(), &tagged.versions, &mut patched, bound);
                 p.repair_secs += t0.elapsed().as_secs_f64();
                 p.unique_rows += sb.nodes().len() as u64;
                 p.repaired_rows += outcome.repaired as u64;

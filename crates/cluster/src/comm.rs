@@ -232,18 +232,9 @@ impl Communicator {
         self.shared.aborted.load(Ordering::Acquire)
     }
 
-    /// Blocks until every rank arrives.
-    ///
-    /// # Panics
-    /// Panics if the group is aborted while waiting; use
-    /// [`Communicator::try_barrier`] on fault-tolerant paths.
-    pub fn barrier(&self) {
-        self.try_barrier()
-            .unwrap_or_else(|e| panic!("barrier: {e}"));
-    }
-
-    /// Fallible [`Communicator::barrier`].
-    pub fn try_barrier(&self) -> Result<(), CommError> {
+    /// Blocks until every rank arrives; fails with
+    /// [`CommError::Aborted`] if the group is aborted while waiting.
+    pub fn barrier(&self) -> Result<(), CommError> {
         if self.shared.barrier.wait(&self.shared.aborted) {
             Ok(())
         } else {
@@ -257,19 +248,12 @@ impl Communicator {
     /// rank 1's, etc., so all ranks end with bit-identical contents.
     /// Records the modeled ring-all-reduce wire time once per call.
     ///
+    /// Fails with [`CommError::Aborted`] (leaving `data` unchanged) if
+    /// the group is aborted before the reduction completes.
+    ///
     /// # Panics
-    /// Panics if ranks pass different lengths, or if the group is
-    /// aborted mid-collective; use
-    /// [`Communicator::try_allreduce_mean`] on fault-tolerant paths.
-    pub fn allreduce_mean(&self, data: &mut [f32]) {
-        self.try_allreduce_mean(data)
-            .unwrap_or_else(|e| panic!("allreduce: {e}"));
-    }
-
-    /// Fallible [`Communicator::allreduce_mean`]: returns
-    /// [`CommError::Aborted`] (leaving `data` unchanged) if the group
-    /// is aborted before the reduction completes.
-    pub fn try_allreduce_mean(&self, data: &mut [f32]) -> Result<(), CommError> {
+    /// Panics if ranks pass different lengths.
+    pub fn allreduce_mean(&self, data: &mut [f32]) -> Result<(), CommError> {
         let shared = &self.shared;
         *shared.slots[self.rank].lock() = data.to_vec();
         if !shared.barrier.wait(&shared.aborted) {
@@ -360,7 +344,7 @@ mod tests {
     fn allreduce_mean_averages() {
         let results = run_group(4, |comm| {
             let mut v = vec![comm.rank() as f32; 3];
-            comm.allreduce_mean(&mut v);
+            comm.allreduce_mean(&mut v).expect("allreduce");
             v
         });
         // mean of 0..4 = 1.5
@@ -376,7 +360,7 @@ mod tests {
             let mut v: Vec<f32> = (0..64)
                 .map(|i| ((comm.rank() * 64 + i) as f32).sin() * 1e3)
                 .collect();
-            comm.allreduce_mean(&mut v);
+            comm.allreduce_mean(&mut v).expect("allreduce");
             v
         });
         for r in 1..8 {
@@ -389,7 +373,7 @@ mod tests {
         let results = run_group(3, |comm| {
             let mut v = vec![(comm.rank() + 1) as f32];
             for _ in 0..10 {
-                comm.allreduce_mean(&mut v);
+                comm.allreduce_mean(&mut v).expect("allreduce");
             }
             v[0]
         });
@@ -423,8 +407,8 @@ mod tests {
                 let comm = group.communicator(r);
                 std::thread::spawn(move || {
                     let mut v = vec![1.0f32; 100];
-                    comm.allreduce_mean(&mut v);
-                    comm.allreduce_mean(&mut v);
+                    comm.allreduce_mean(&mut v).expect("allreduce");
+                    comm.allreduce_mean(&mut v).expect("allreduce");
                 })
             })
             .collect();
@@ -444,7 +428,7 @@ mod tests {
         let c1 = group.communicator(1);
         let t = std::thread::spawn(move || {
             let mut v = vec![1.0f32, 2.0];
-            let r = c1.try_allreduce_mean(&mut v);
+            let r = c1.allreduce_mean(&mut v);
             (r, v)
         });
         // Rank 0 "crashes" instead of joining the collective; rank 1
@@ -463,10 +447,10 @@ mod tests {
         let c0 = group.communicator(0);
         let _c1 = group.communicator(1);
         c0.abort();
-        assert_eq!(c0.try_barrier(), Err(CommError::Aborted));
+        assert_eq!(c0.barrier(), Err(CommError::Aborted));
         let mut v = vec![0.0f32];
-        assert_eq!(c0.try_allreduce_mean(&mut v), Err(CommError::Aborted));
-        assert_eq!(c0.try_allreduce_mean(&mut v), Err(CommError::Aborted));
+        assert_eq!(c0.allreduce_mean(&mut v), Err(CommError::Aborted));
+        assert_eq!(c0.allreduce_mean(&mut v), Err(CommError::Aborted));
     }
 
     #[test]
@@ -479,7 +463,7 @@ mod tests {
             .map(|c| {
                 std::thread::spawn(move || {
                     let mut v = vec![c.rank() as f32];
-                    c.try_allreduce_mean(&mut v)
+                    c.allreduce_mean(&mut v)
                 })
             })
             .collect();
@@ -505,10 +489,10 @@ mod tests {
         .join()
         .unwrap_err();
         // Survivors observe the contractual abort, not a poison panic.
-        assert_eq!(c0.try_barrier(), Err(CommError::Aborted));
+        assert_eq!(c0.barrier(), Err(CommError::Aborted));
         assert!(c0.is_aborted());
         let mut v = vec![1.0f32, 2.0];
-        assert_eq!(c1.try_allreduce_mean(&mut v), Err(CommError::Aborted));
+        assert_eq!(c1.allreduce_mean(&mut v), Err(CommError::Aborted));
         assert_eq!(v, vec![1.0, 2.0]);
     }
 
@@ -517,7 +501,7 @@ mod tests {
         let group = CommunicatorGroup::single_machine(2);
         let c0 = group.communicator(0);
         let c1 = group.communicator(1);
-        let waiter = std::thread::spawn(move || c1.try_barrier());
+        let waiter = std::thread::spawn(move || c1.barrier());
         // Let rank 1 park inside the condvar wait, then poison.
         std::thread::sleep(std::time::Duration::from_millis(20));
         let shared = Arc::clone(&c0.shared);
@@ -530,7 +514,7 @@ mod tests {
         // Rank 0's next collective observes the poison, raises the
         // abort, and wakes rank 1 out of its condvar wait — both get
         // the contractual error.
-        assert_eq!(c0.try_barrier(), Err(CommError::Aborted));
+        assert_eq!(c0.barrier(), Err(CommError::Aborted));
         assert_eq!(waiter.join().unwrap(), Err(CommError::Aborted));
     }
 
@@ -544,12 +528,12 @@ mod tests {
         let c1 = group.communicator(1);
         let t = std::thread::spawn(move || {
             f2.store(1, Ordering::SeqCst);
-            c1.barrier();
-            c1.barrier();
+            c1.barrier().expect("barrier");
+            c1.barrier().expect("barrier");
         });
-        c0.barrier(); // After this, rank 1 must have set the flag.
+        c0.barrier().expect("barrier"); // After this, rank 1 must have set the flag.
         assert_eq!(flag.load(Ordering::SeqCst), 1);
-        c0.barrier();
+        c0.barrier().expect("barrier");
         t.join().unwrap();
     }
 }

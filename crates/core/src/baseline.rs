@@ -368,7 +368,7 @@ pub fn train_tgl(
                         MemoryAccess::write(&mut *guard, out.write);
                     }
                     let mut grads = model.params.flatten_grads();
-                    comm.allreduce_mean(&mut grads);
+                    comm.allreduce_mean(&mut grads).expect("allreduce");
                     model.params.unflatten_grads(&grads);
                     model.params.clip_grad_norm(5.0);
                     adam.step(&mut model.params);

@@ -62,7 +62,7 @@
 use crate::config::ModelConfig;
 use disttgl_data::Dataset;
 use disttgl_graph::{NeighborBlock, RecentNeighborSampler, TemporalAdjacency};
-use disttgl_mem::{MemoryClient, MemoryReadout, MemoryState, MemoryWrite};
+use disttgl_mem::{MemoryClient, MemoryReadout, MemoryState, MemoryWrite, ReadRequest};
 use disttgl_tensor::Matrix;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -95,12 +95,20 @@ impl MemoryAccess for MemoryState {
     }
 }
 
+/// The daemon client as plain memory access: full reads in the rank's
+/// read turn. The trait has no error channel, so a daemon failure
+/// panics here; the distributed trainer uses its own adapter, which
+/// records the fault and unwinds instead.
 impl MemoryAccess for MemoryClient {
     fn read_into(&mut self, nodes: &[u32], out: &mut MemoryReadout) {
-        MemoryClient::read_into(self, nodes, out);
+        if let Err(e) = MemoryClient::read(self, ReadRequest::Full(nodes.to_vec()), out) {
+            panic!("memory daemon {e} during read (rank {})", self.rank());
+        }
     }
     fn write(&mut self, w: MemoryWrite) {
-        MemoryClient::write(self, w);
+        if let Err(e) = MemoryClient::write(self, w) {
+            panic!("memory daemon {e} during write (rank {})", self.rank());
+        }
     }
 }
 
@@ -600,10 +608,11 @@ impl<'a> BatchPreparer<'a> {
     }
 
     /// Completes a batch from an already-gathered full readout (rows
-    /// in `sb.all_nodes` order). Used by the speculative phase-2 path:
-    /// the prefetch worker gathers from a possibly one-write-stale
-    /// memory view, [`patch_readout`] repairs the written rows, then
-    /// this split produces the final batch.
+    /// in `sb.all_nodes` order). Used by the overlapped phase-2 paths:
+    /// the prefetch worker's eager-write gather, or a speculative
+    /// daemon gather repaired in its serialized slot
+    /// ([`disttgl_mem::ReadRequest::Repair`]); this split then
+    /// produces the final batch.
     pub fn complete(&self, sb: StaticBatch, full: MemoryReadout) -> PreparedBatch {
         assert_eq!(full.mem.rows(), sb.all_nodes.len(), "readout rows");
 
@@ -724,55 +733,6 @@ impl StaticBatch {
     pub fn nodes(&self) -> &[u32] {
         &self.all_nodes
     }
-}
-
-/// Repairs a speculatively gathered full readout: every row whose node
-/// is in `stale` (any order, duplicates allowed — e.g. a
-/// `MemoryWrite::nodes` list straight from the write) is re-read from
-/// `mem` (the post-write state). Rows of nodes outside the stale set
-/// were, by construction, untouched by the intervening write, so after
-/// patching the readout is *bit-identical* to a serialized read — this
-/// is the memory-dependency rule that lets phase 2 of batch `t + 1`
-/// overlap the compute of batch `t`. Membership is a binary search
-/// over a locally sorted copy: the stale set is one batch's root nodes
-/// (small), the row scan is long, and hashing per row would dominate
-/// the patch.
-pub fn patch_readout(
-    full: &mut MemoryReadout,
-    all_nodes: &[u32],
-    stale: &[u32],
-    mem: &MemoryState,
-) -> usize {
-    if stale.is_empty() {
-        return 0;
-    }
-    let sorted: Vec<u32> = if stale.windows(2).all(|w| w[0] < w[1]) {
-        stale.to_vec()
-    } else {
-        let mut s = stale.to_vec();
-        s.sort_unstable();
-        s.dedup();
-        s
-    };
-    let mut rows = Vec::new();
-    let mut nodes = Vec::new();
-    for (row, &n) in all_nodes.iter().enumerate() {
-        if sorted.binary_search(&n).is_ok() {
-            rows.push(row);
-            nodes.push(n);
-        }
-    }
-    if nodes.is_empty() {
-        return 0;
-    }
-    let fresh = MemoryState::read(mem, &nodes);
-    for (i, &row) in rows.iter().enumerate() {
-        full.mem.row_mut(row).copy_from_slice(fresh.mem.row(i));
-        full.mail.row_mut(row).copy_from_slice(fresh.mail.row(i));
-        full.mem_ts[row] = fresh.mem_ts[i];
-        full.mail_ts[row] = fresh.mail_ts[i];
-    }
-    rows.len()
 }
 
 #[cfg(test)]

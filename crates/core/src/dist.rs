@@ -25,7 +25,7 @@
 //!
 //! * **Exact** (the default): the serialized memory order is observed
 //!   bit for bit. Speculation (`speculative_gather`) stays in this
-//!   class — its Acquire-slot delta repair reproduces the serialized
+//!   class — its Acquire-slot in-place repair reproduces the serialized
 //!   read exactly, per the version contract — as do pipelining,
 //!   checkpoint/resume, and fault recovery (pure replay).
 //! * **Recoverable**: a fault (lane crash, daemon shutdown, deadline
@@ -61,7 +61,8 @@ use disttgl_cluster::{ClusterSpec, CommunicatorGroup, NetworkModel};
 use disttgl_data::{Dataset, NegativeStore, Task};
 use disttgl_graph::TCsr;
 use disttgl_mem::{
-    DaemonError, DaemonOptions, MemoryDaemon, MemoryReadout, MemoryWrite, VersionedReadout,
+    DaemonError, DaemonOptions, MemoryClient, MemoryDaemon, MemoryReadout, MemoryWrite,
+    ReadRequest, VersionedReadout,
 };
 use disttgl_tensor::{seeded_rng, Matrix};
 use std::sync::Arc;
@@ -74,7 +75,7 @@ use std::time::Instant;
 /// batch assembly stays well-formed; the trainer checks the fault slot
 /// before training on it and unwinds.
 struct TimedAccess<'a> {
-    client: &'a mut disttgl_mem::MemoryClient,
+    client: &'a mut MemoryClient,
     wait_secs: &'a mut f64,
     fault: &'a mut Option<DaemonError>,
     d_mem: usize,
@@ -84,7 +85,7 @@ struct TimedAccess<'a> {
 impl MemoryAccess for TimedAccess<'_> {
     fn read_into(&mut self, nodes: &[u32], out: &mut MemoryReadout) {
         let t0 = Instant::now();
-        if let Err(e) = self.client.try_read_into(nodes, out) {
+        if let Err(e) = MemoryClient::read(self.client, ReadRequest::Full(nodes.to_vec()), out) {
             *out = MemoryReadout {
                 mem: Matrix::zeros(nodes.len(), self.d_mem),
                 mem_ts: vec![0.0; nodes.len()],
@@ -96,9 +97,17 @@ impl MemoryAccess for TimedAccess<'_> {
         *self.wait_secs += t0.elapsed().as_secs_f64();
     }
     fn write(&mut self, w: MemoryWrite) {
-        if let Err(e) = self.client.try_write(w) {
+        if let Err(e) = MemoryClient::write(self.client, w) {
             *self.fault = Some(e);
         }
+    }
+}
+
+/// The abort cause a failed daemon wait records.
+fn daemon_abort_cause(e: DaemonError) -> AbortCause {
+    match e {
+        DaemonError::Shutdown => AbortCause::DaemonShutdown,
+        DaemonError::Timeout => AbortCause::DaemonTimeout,
     }
 }
 
@@ -477,11 +486,11 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
     // `speculative_gather` (default) phase 2 overlaps too: the moment
     // phase 1 lands — typically during a continue pass — the lane
     // posts a speculative out-of-turn gather to the daemon; its
-    // serialized Acquire slot then only fetches the delta of rows
-    // written since and repairs the block in place. The daemon turn
-    // order and all training results are unchanged either way (the
-    // version contract makes the patched block bit-identical to a
-    // serialized read; see `disttgl_mem::daemon`).
+    // serialized Acquire slot then only repairs, in place, the rows
+    // written since. The daemon turn order and all training results
+    // are unchanged either way (the version contract makes the
+    // repaired block bit-identical to a serialized read; see
+    // `disttgl_mem::daemon`).
     let acquire_plan: Vec<(usize, std::ops::Range<usize>, usize)> = (0..total_steps)
         .filter_map(|step| match schedule.plan(jg, step) {
             StepPlan::Acquire { batch, epoch_equiv } => {
@@ -580,11 +589,11 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
                             // gather in flight); queue the next
                             // Acquire's phase 1, then take the one
                             // serialized memory slot here — as a
-                            // delta request when speculating, a full
+                            // repair request when speculating, a full
                             // read otherwise.
                             debug_assert_eq!(acquire_plan[next_acquire].0, step);
                             via_speculation = spec_posted;
-                            let mut resp = match staged.take() {
+                            let resp = match staged.take() {
                                 Some(resp) => resp,
                                 None => {
                                     let resp = p.recv();
@@ -598,60 +607,37 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
                             next_acquire += 1;
                             if spec_posted {
                                 // Collect the out-of-turn gather and
-                                // spend the serialized slot on the
-                                // fused delta: the daemon repairs the
-                                // rows written since directly in the
-                                // gathered block. The per-row version
-                                // check inside the delta is the exact
-                                // guard;
-                                // `GroupSchedule::intervening_writers`
-                                // names the sub-groups whose writes
-                                // such a delta can carry.
+                                // spend the serialized slot repairing
+                                // it in place: the daemon rewrites
+                                // exactly the rows whose version grew
+                                // since the gather. Under a staleness
+                                // bound, rows at most `k` writes
+                                // behind keep their speculative value
+                                // (and may be blended below).
                                 spec_posted = false;
                                 let t_mem = Instant::now();
-                                let collected =
-                                    client.try_take_speculation().and_then(|mut tagged| {
-                                        match cfg.staleness_bound {
-                                            // Bounded-staleness mode:
-                                            // rows within the bound
-                                            // keep their speculative
-                                            // value (repair skipped);
-                                            // the rest repair exactly.
-                                            Some(bound) => client
-                                                .try_read_delta_bounded_into(
-                                                    resp.sb.nodes(),
-                                                    &tagged.versions,
-                                                    &mut tagged.readout,
-                                                    bound,
-                                                )
-                                                .map(|outcome| {
-                                                    if cfg.staleness_compensation
-                                                        == crate::config::StalenessCompensation::SimilarityBlend
-                                                    {
-                                                        blend_admitted_rows(
-                                                            &mut tagged.readout,
-                                                            &outcome.admitted_rows,
-                                                            model_cfg.d_mem,
-                                                        );
-                                                    }
-                                                    tagged
-                                                }),
-                                            None => client
-                                                .try_read_delta_into(
-                                                    resp.sb.nodes(),
-                                                    &tagged.versions,
-                                                    &mut tagged.readout,
-                                                )
-                                                .map(|_patched| tagged),
-                                        }
-                                    });
-                                ret.timing.mem_wait_secs += t_mem.elapsed().as_secs_f64();
-                                match collected {
-                                    Ok(tagged) => {
-                                        resp.attach_speculation(tagged);
-                                        let full = resp.take_readout().expect("attached readout");
-                                        Some(prep.complete(resp.sb, full))
+                                let repaired = client.take_speculation().and_then(|tagged| {
+                                    let mut readout = tagged.readout;
+                                    let req = ReadRequest::Repair {
+                                        nodes: resp.sb.nodes().to_vec(),
+                                        versions: tagged.versions,
+                                        bound: cfg.staleness_bound,
+                                    };
+                                    let outcome = client.read(req, &mut readout)?;
+                                    if cfg.staleness_compensation
+                                        == crate::config::StalenessCompensation::SimilarityBlend
+                                    {
+                                        blend_admitted_rows(
+                                            &mut readout,
+                                            &outcome.admitted_rows,
+                                            model_cfg.d_mem,
+                                        );
                                     }
+                                    Ok(readout)
+                                });
+                                ret.timing.mem_wait_secs += t_mem.elapsed().as_secs_f64();
+                                match repaired {
+                                    Ok(readout) => Some(prep.complete(resp.sb, readout)),
                                     Err(e) => {
                                         mem_fault = Some(e);
                                         None
@@ -723,7 +709,7 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
                         ret.timing.compute_secs += t_compute.elapsed().as_secs_f64();
                         loss = out.loss;
                         did_work = true;
-                        if let Err(e) = client.try_write(out.write) {
+                        if let Err(e) = client.write(out.write) {
                             mem_fault = Some(e);
                         }
                     })
@@ -766,10 +752,7 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
             // or a peer's crash wedging the turn order): abort the
             // collective and unwind; peers blocked in the all-reduce
             // observe the abort instead of hanging.
-            cause = Some(match fault {
-                DaemonError::Shutdown => AbortCause::DaemonShutdown,
-                DaemonError::Timeout => AbortCause::DaemonTimeout,
-            });
+            cause = Some(daemon_abort_cause(*fault));
             comm.abort();
             aborted = true;
             break;
@@ -779,8 +762,8 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
         // Acquire's phase 1 is done (typically during a continue
         // pass), post its unique-node gather out of turn so the
         // daemon fills it while this lane computes/synchronizes. Any
-        // write that lands in between is repaired by the Acquire
-        // turn's delta — bit-identically, per the version contract. An
+        // write that lands in between is repaired in the Acquire
+        // turn's slot — bit-identically, per the version contract. An
         // injected `DelaySpeculation` fault holds the first posts back
         // (the Acquire slot then pays a full read — results unchanged,
         // which is exactly what the fault harness asserts).
@@ -806,7 +789,7 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
         let mut grads = model.params.flatten_grads();
         let probe = step % VARIANCE_PROBE_EVERY == 0 && did_work;
         let pre = if probe { Some(grads.clone()) } else { None };
-        if comm.try_allreduce_mean(&mut grads).is_err() {
+        if comm.allreduce_mean(&mut grads).is_err() {
             // A peer crashed and aborted the communicator: unwind with
             // whatever history is already banked.
             aborted = true;
@@ -843,15 +826,12 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
             let t_eval = Instant::now();
             let k_eval = disttgl_tensor::timing::snapshot();
             let sweep_idx = (step + 1) / b - 1;
-            let mut snap = match daemons[0].try_epoch_snapshot(sweep_idx as u64) {
+            let mut snap = match daemons[0].epoch_snapshot(sweep_idx as u64) {
                 Ok(snap) => snap,
                 Err(e) => {
                     // Replica 0's daemon died before finishing the
                     // sweep (fault injection): unwind everyone.
-                    cause = Some(match e {
-                        DaemonError::Shutdown => AbortCause::DaemonShutdown,
-                        DaemonError::Timeout => AbortCause::DaemonTimeout,
-                    });
+                    cause = Some(daemon_abort_cause(e));
                     comm.abort();
                     aborted = true;
                     break;
@@ -954,10 +934,9 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
                     // A capture resolved as shutdown/timeout — a
                     // replica died at the boundary. Abort rather than
                     // persist a partial checkpoint.
-                    cause = Some(match capture_err {
-                        Some(DaemonError::Timeout) => AbortCause::DaemonTimeout,
-                        _ => AbortCause::DaemonShutdown,
-                    });
+                    cause = Some(daemon_abort_cause(
+                        capture_err.unwrap_or(DaemonError::Shutdown),
+                    ));
                     comm.abort();
                     aborted = true;
                 }
@@ -965,7 +944,7 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
             if aborted {
                 break;
             }
-            if comm.try_allreduce_mean(&mut [0.0f32]).is_err() {
+            if comm.allreduce_mean(&mut [0.0f32]).is_err() {
                 aborted = true;
                 cause = Some(AbortCause::PeerAbort);
                 break;
@@ -986,43 +965,52 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
     if rank == 0 && !aborted {
         let t_eval = Instant::now();
         let final_sweep = cfg.sweeps() as u64 - 1;
-        let mut mem = daemons[0].epoch_snapshot(final_sweep);
-        if val_end > train_end {
-            crate::eval::replay_memory(
-                &model,
-                &model_cfg,
-                &dataset,
-                csr.as_ref(),
-                &mut mem,
-                static_mem.as_ref().as_ref(),
-                train_end..val_end,
-                cfg.local_batch,
-            );
+        match daemons[0].epoch_snapshot(final_sweep) {
+            Err(e) => {
+                // Replica 0's daemon died after the last collective:
+                // the run is aborted and has no test metric.
+                aborted = true;
+                cause = Some(daemon_abort_cause(e));
+            }
+            Ok(mut mem) => {
+                if val_end > train_end {
+                    crate::eval::replay_memory(
+                        &model,
+                        &model_cfg,
+                        &dataset,
+                        csr.as_ref(),
+                        &mut mem,
+                        static_mem.as_ref().as_ref(),
+                        train_end..val_end,
+                        cfg.local_batch,
+                    );
+                }
+                let test_end = dataset
+                    .graph
+                    .num_events()
+                    .min(val_end.saturating_add(cfg.eval_max_events));
+                let test = evaluate(
+                    &model,
+                    &model_cfg,
+                    &dataset,
+                    csr.as_ref(),
+                    &mut mem,
+                    static_mem.as_ref().as_ref(),
+                    val_end..test_end,
+                    cfg.local_batch,
+                    cfg.eval_negs,
+                    cfg.seed ^ 0x7e57,
+                );
+                ret.eval_secs += t_eval.elapsed().as_secs_f64();
+                // Smuggle the test metric through a sentinel
+                // convergence point consumed by `assemble_results`.
+                ret.convergence.push(ConvergencePoint {
+                    iteration: usize::MAX,
+                    wall_secs: start.elapsed().as_secs_f64(),
+                    metric: test.metric,
+                });
+            }
         }
-        let test_end = dataset
-            .graph
-            .num_events()
-            .min(val_end.saturating_add(cfg.eval_max_events));
-        let test = evaluate(
-            &model,
-            &model_cfg,
-            &dataset,
-            csr.as_ref(),
-            &mut mem,
-            static_mem.as_ref().as_ref(),
-            val_end..test_end,
-            cfg.local_batch,
-            cfg.eval_negs,
-            cfg.seed ^ 0x7e57,
-        );
-        ret.eval_secs += t_eval.elapsed().as_secs_f64();
-        // Smuggle the test metric through a sentinel convergence point
-        // consumed by `assemble_results`.
-        ret.convergence.push(ConvergencePoint {
-            iteration: usize::MAX,
-            wall_secs: start.elapsed().as_secs_f64(),
-            metric: test.metric,
-        });
     }
     ret.aborted = aborted;
     // Every aborted rank reports a cause; a rank that unwound without

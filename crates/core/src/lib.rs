@@ -76,8 +76,8 @@ pub use serve::{
 };
 
 pub use batch::{
-    frontier_sizes, occurrence_nodes, occurrence_rows, patch_readout, BatchPreparer, MemoryAccess,
-    NegativePart, PositivePart, PreparedBatch, ReadoutIndex, ReadoutView, StaticBatch,
+    frontier_sizes, occurrence_nodes, occurrence_rows, BatchPreparer, MemoryAccess, NegativePart,
+    PositivePart, PreparedBatch, ReadoutIndex, ReadoutView, StaticBatch,
 };
 pub use config::{
     plan, plan_from_graph, CombPolicy, ConfigError, ModelConfig, ParallelConfig, PlannerInput,

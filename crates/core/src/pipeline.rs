@@ -45,27 +45,23 @@
 //!   and only then issues the gather request, so the worker reads a
 //!   fully up-to-date state during the backward pass — the bulk of
 //!   step compute — with zero staleness.
-//! * **Speculative gather + patch** (the general mechanism; the
-//!   distributed trainer runs it against the daemon as the
-//!   version-vector protocol — speculative `read_versioned` out of
-//!   turn, then a [`MemoryDelta`] in the serialized slot repairs the
-//!   block via [`PrefetchedBatch::repair`], see `disttgl_mem::daemon`):
-//!   a gather issued before the pending write lands is stale by
-//!   exactly that write, whose node set is known, so the consumer
-//!   repairs just those rows with
-//!   [`patch_readout`](crate::batch::patch_readout).
+//! * **Speculative gather + repair** (the distributed trainer, against
+//!   the daemon — see `disttgl_mem::daemon`): a version-tagged gather
+//!   is posted out of turn, and the lane's serialized read slot then
+//!   repairs, in place, exactly the rows written since
+//!   ([`disttgl_mem::ReadRequest::Repair`], [`MemoryState::repair`]).
 //!   Note that with most-recent-k sampling on recurrence-heavy
 //!   streams, the written nodes can dominate the next readout (~90%
 //!   of readout rows measured on the Table 2 analogs), making
 //!   eager-write scheduling the profitable protocol whenever the
 //!   write is available early. With the deduplicated readout
 //!   (`ModelConfig::dedup_readout`, default) the gathered block holds
-//!   one row per unique node per part, so `patch_readout` repairs each
-//!   stale node once per part instead of once per occurrence — the
-//!   repair *volume* shrinks by the batch's occurrence/unique row
-//!   ratio, though the stale *fraction* of rows stays high (most
-//!   unique nodes of batch `t + 1` were just written by batch `t`), so
-//!   the eager-write preference stands.
+//!   one row per unique node per part, so a repair rewrites each stale
+//!   node once per part instead of once per occurrence — the repair
+//!   *volume* shrinks by the batch's occurrence/unique row ratio,
+//!   though the stale *fraction* of rows stays high (most unique nodes
+//!   of batch `t + 1` were just written by batch `t`), so the
+//!   eager-write preference stands.
 //!
 //! Requests whose use would cross an epoch reset leave `gather_memory`
 //! off and fall back to the serialized gather.
@@ -73,7 +69,7 @@
 //! # Correctness
 //!
 //! Phase 1 is a pure function of `(dataset, csr, range, negatives)`,
-//! and phase 2 — serialized or speculative-plus-patch — yields the
+//! and phase 2 — serialized or speculative-plus-repair — yields the
 //! identical readout in the identical serialized slot as the
 //! sequential path, so the pipelined executor is *bit-identical* to
 //! [`train_single`](crate::train_single) / the non-prefetching
@@ -85,7 +81,7 @@ use crate::batch::{BatchPreparer, StaticBatch};
 use crate::config::ModelConfig;
 use disttgl_data::{Dataset, NegativeStore};
 use disttgl_graph::TCsr;
-use disttgl_mem::{MemoryDelta, MemoryReadout, MemoryState, VersionedReadout};
+use disttgl_mem::{MemoryReadout, MemoryState};
 use std::ops::Range;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, RwLock};
@@ -122,65 +118,21 @@ pub struct PrefetchRequest {
     pub negs_per_event: usize,
     /// Also gather the node-memory rows from the shared memory (only
     /// honored by workers spawned with
-    /// [`BatchPrefetcher::spawn_with_memory`]). The consumer must
-    /// repair any rows written between the gather and use with
-    /// [`crate::batch::patch_readout`] (none under eager-write
-    /// scheduling); requests whose use crosses an epoch reset must
-    /// leave this `false`.
+    /// [`BatchPrefetcher::spawn_with_memory`]). The gather is exact
+    /// only if no write lands between it and its use — true under
+    /// eager-write scheduling; requests whose use crosses an epoch
+    /// reset must leave this `false`.
     pub gather_memory: bool,
 }
 
-/// A prefetched batch: phase-1 output plus, when requested or attached
-/// later, the full memory readout (exact under eager-write scheduling,
-/// possibly stale under speculation — then tagged with the version
-/// vector that lets a [`MemoryDelta`] repair it).
+/// A prefetched batch: phase-1 output plus, when requested, the full
+/// memory readout gathered by the worker (exact under eager-write
+/// scheduling).
 pub struct PrefetchedBatch {
     /// The memory-independent batch parts.
     pub sb: StaticBatch,
     /// Full readout in `sb.nodes()` row order.
     pub readout: Option<MemoryReadout>,
-    /// Per-row write versions of the gather — set by
-    /// [`PrefetchedBatch::attach_speculation`] on the daemon path
-    /// (`None` for worker gathers, which are exact under eager-write
-    /// scheduling and never repaired).
-    pub versions: Option<Vec<u64>>,
-}
-
-impl PrefetchedBatch {
-    /// Attaches a speculatively gathered, version-tagged readout (the
-    /// distributed daemon path: the gather came from
-    /// `MemoryClient::take_speculation`, not the prefetch worker).
-    pub fn attach_speculation(&mut self, vr: VersionedReadout) {
-        assert_eq!(
-            vr.readout.mem.rows(),
-            self.sb.read_rows(),
-            "speculative readout rows"
-        );
-        self.versions = Some(vr.versions);
-        self.readout = Some(vr.readout);
-    }
-
-    /// Repairs the attached readout in place with the rows a
-    /// [`MemoryDelta`] reports as rewritten since the speculative
-    /// gather; afterwards the readout equals a serialized read at the
-    /// delta's point in the write order, bit for bit. Returns the
-    /// patched row count.
-    ///
-    /// # Panics
-    /// Panics if no readout is attached.
-    pub fn repair(&mut self, delta: &MemoryDelta) -> usize {
-        let readout = self
-            .readout
-            .as_mut()
-            .expect("repair: no speculative readout attached");
-        delta.apply(readout)
-    }
-
-    /// Takes the repaired (or exact) readout out of the batch.
-    pub fn take_readout(&mut self) -> Option<MemoryReadout> {
-        self.versions = None;
-        self.readout.take()
-    }
 }
 
 impl PrefetchRequest {
@@ -234,10 +186,9 @@ impl BatchPrefetcher {
 
     /// Spawns a worker that additionally serves phase-2 gathers from
     /// `memory` for requests with `gather_memory: true`. The gather
-    /// runs under the read lock concurrently with trainer compute;
-    /// under eager-write scheduling it is exact, otherwise it may be
-    /// at most one `MemoryWrite` stale, which the trainer repairs with
-    /// [`crate::batch::patch_readout`].
+    /// runs under the read lock concurrently with trainer compute and
+    /// is exact under eager-write scheduling, the way the single-GPU
+    /// executor uses it.
     pub fn spawn_with_memory(
         dataset: Arc<Dataset>,
         csr: Arc<TCsr>,
@@ -271,14 +222,7 @@ impl BatchPrefetcher {
                         (Some(mem), true) => Some(read_lock(mem).read(sb.nodes())),
                         _ => None,
                     };
-                    if resp_tx
-                        .send(PrefetchedBatch {
-                            sb,
-                            readout,
-                            versions: None,
-                        })
-                        .is_err()
-                    {
+                    if resp_tx.send(PrefetchedBatch { sb, readout }).is_err() {
                         // Trainer hung up; drain and exit.
                         break;
                     }
@@ -505,22 +449,17 @@ mod tests {
         drop(prefetcher);
     }
 
-    /// The version-tagged repair path on `PrefetchedBatch`: a stale
-    /// attached gather plus the store's delta equals a serialized
-    /// read, via `attach_speculation` + `repair`.
+    /// The version-tagged repair path for a prefetched batch: a stale
+    /// gather of the batch's nodes, repaired in place, equals a
+    /// serialized read.
     #[test]
     fn attach_and_repair_with_delta_matches_serialized() {
         let (d, csr, cfg) = setup();
         let prep = BatchPreparer::new(&d, csr.as_ref(), &cfg);
         let mut mem = MemoryState::new(d.graph.num_nodes(), cfg.d_mem, cfg.mail_dim());
         let sb = prep.prepare_static(0..16, &[], 1);
-        let mut batch = PrefetchedBatch {
-            sb,
-            readout: None,
-            versions: None,
-        };
         // Speculative gather, then a racing write.
-        let tagged = mem.read_versioned(batch.sb.nodes());
+        let mut tagged = mem.read_versioned(sb.nodes());
         let node = d.graph.events()[0].src;
         mem.write(&disttgl_mem::MemoryWrite {
             nodes: vec![node],
@@ -529,16 +468,14 @@ mod tests {
             mail: disttgl_tensor::Matrix::full(1, cfg.mail_dim(), 1.5),
             mail_ts: vec![2.0],
         });
-        let versions = tagged.versions.clone();
-        batch.attach_speculation(tagged);
-        let delta = mem.delta_since(batch.sb.nodes(), &versions);
-        let patched = batch.repair(&delta);
-        assert!(patched > 0, "event 0's src is in the batch");
-        let repaired = batch.take_readout().expect("attached");
-        let serialized = mem.read(batch.sb.nodes());
-        assert_eq!(repaired.mem, serialized.mem);
-        assert_eq!(repaired.mail_ts, serialized.mail_ts);
-        assert!(batch.versions.is_none(), "take_readout clears the tag");
+        let outcome = mem.repair(sb.nodes(), &tagged.versions, &mut tagged.readout, 0);
+        assert!(outcome.repaired > 0, "event 0's src is in the batch");
+        let serialized = mem.read(sb.nodes());
+        assert_eq!(tagged.readout.mem, serialized.mem);
+        assert_eq!(tagged.readout.mail_ts, serialized.mail_ts);
+        // The repaired block completes the batch like a serialized read.
+        let batch = prep.complete(sb, tagged.readout);
+        assert_eq!(batch.pos.srcs.len(), 16);
     }
 
     /// A speculative gather raced by a write, then patched, must equal
@@ -578,15 +515,18 @@ mod tests {
             gather_memory: true,
         });
         let mut resp = prefetcher.recv();
-        // The racing write: batch-0-style roots updated after (or
-        // during) the speculative gather.
-        // Raw write-order node list: unsorted, possibly with
-        // duplicates — exactly what `MemoryWrite::nodes` looks like
-        // (`patch_readout` must cope without a sortedness contract).
+        // Nothing is written between the worker's gather and here, so
+        // the live version vector is the one the gather saw.
+        let versions = crate::pipeline::read_lock(&shared)
+            .read_versioned(resp.sb.nodes())
+            .versions;
+        // The racing write: batch-0-style roots updated after the
+        // speculative gather. Raw write-order node list: unsorted,
+        // with duplicates — exactly what `MemoryWrite::nodes` looks
+        // like.
         let written: Vec<u32> = (0..6)
             .flat_map(|i| [d.graph.events()[i].src, d.graph.events()[i].src])
             .collect();
-        let stale = written.clone();
         {
             let mut guard = crate::pipeline::write_lock(&shared);
             let n = written.len();
@@ -601,8 +541,8 @@ mod tests {
 
         let mut full = resp.readout.take().expect("gathered readout");
         let guard = crate::pipeline::read_lock(&shared);
-        let patched_rows = crate::batch::patch_readout(&mut full, resp.sb.nodes(), &stale, &guard);
-        assert!(patched_rows > 0, "write set must intersect the batch");
+        let outcome = guard.repair(resp.sb.nodes(), &versions, &mut full, 0);
+        assert!(outcome.repaired > 0, "write set must intersect the batch");
         let serialized = guard.read(resp.sb.nodes());
         drop(guard);
         assert_eq!(full.mem, serialized.mem);

@@ -159,30 +159,6 @@ impl GroupSchedule {
         batching::split_local(batch.clone(), self.i)[ig].clone()
     }
 
-    /// Annotates a speculative memory read: the sub-groups whose
-    /// serialized writes **can land between** a gather posted during
-    /// step `posted_at` and its use at the Acquire turn of step
-    /// `acquire` (exclusive), in daemon turn order.
-    ///
-    /// Conservative on the posting side: a speculation posted while
-    /// step `posted_at` runs can still precede that turn's writes in
-    /// the daemon's serialized order (write application lags write
-    /// posting), so turn `posted_at` itself is included. If the result
-    /// is empty, no write can intervene and the delta of that
-    /// speculation is provably empty; otherwise only rows written by
-    /// these sub-groups' batches (or an epoch reset) can need repair.
-    pub fn intervening_writers(&self, posted_at: usize, acquire: usize) -> Vec<usize> {
-        let turns = self.sweeps * self.cyclic.len();
-        let mut owners = Vec::new();
-        for s in posted_at..acquire.min(turns) {
-            let owner = s % self.j;
-            if !owners.contains(&owner) {
-                owners.push(owner);
-            }
-        }
-        owners
-    }
-
     /// Events each trainer lane touches per full run (bookkeeping for
     /// throughput accounting): every batch is trained `j` times by its
     /// owning sub-group.
@@ -327,23 +303,6 @@ mod tests {
         // Smoke: epoch_equiv values span more than one value.
         let values: std::collections::HashSet<usize> = seen.iter().map(|&(_, _, _, e)| e).collect();
         assert!(values.len() >= 4, "epoch_equiv too uniform: {:?}", values);
-    }
-
-    #[test]
-    fn intervening_writers_cover_the_speculation_window() {
-        // j = 3: a speculation posted at step 1 for the Acquire at
-        // step 4 races turns 1, 2, 3 → owners {1, 2, 0}.
-        let s = sched(90, 10, 1, 3, 1, 0);
-        assert_eq!(s.intervening_writers(1, 4), vec![1, 2, 0]);
-        // Adjacent acquires (j = 1): only the posting turn's own write
-        // can race.
-        let s1 = sched(90, 10, 1, 1, 1, 0);
-        assert_eq!(s1.intervening_writers(3, 4), vec![0]);
-        // Past the last ownership turn nothing can write.
-        let turns = s1.total_turns();
-        assert!(s1.intervening_writers(turns, turns + 1).is_empty());
-        // Empty window.
-        assert!(s.intervening_writers(4, 4).is_empty());
     }
 
     #[test]

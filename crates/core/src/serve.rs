@@ -67,8 +67,8 @@
 //! [`concurrent::ConcurrentServe`] scales this plane across threads: a
 //! single writer owns ingest while N reader threads answer queries
 //! against MVCC snapshots of the live state, validating their gathered
-//! rows through the PR 3 version vector
-//! ([`MemoryState::delta_since`] / `repair_since`) before responding.
+//! rows through the version vector ([`MemoryState::repair`]) before
+//! responding.
 //!
 //! **Guaranteed**: every answer is *linearizable per request* — bit
 //! identical to what a serialized [`ServeSession`] replaying the same

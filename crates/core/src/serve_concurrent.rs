@@ -32,7 +32,7 @@
 //! 3. **Validate** (read lock): if the watermark is still `w₁` the
 //!    answer is already serialized *now*. Otherwise resample the
 //!    frontier and diff the gathered rows through
-//!    [`MemoryState::repair_since`] — exactly the distributed
+//!    [`MemoryState::repair`] — exactly the distributed
 //!    trainer's speculative-gather repair. Untouched support set ⇒ the
 //!    stage-2 answer is still exact at the new watermark (`Clean`).
 //!    Stale rows only ⇒ repair them in place and recompute once
@@ -93,7 +93,7 @@ pub enum SnapshotDrift {
     Clean,
     /// The frontier was intact but some gathered memory rows were
     /// rewritten in-flight; they were repaired in place
-    /// ([`MemoryState::repair_since`]) and the answer recomputed once.
+    /// ([`MemoryState::repair`]) and the answer recomputed once.
     Repaired {
         /// Stale rows patched.
         rows: usize,
@@ -579,11 +579,15 @@ impl<'a> ConcurrentServe<'a> {
                     } else {
                         &cx.scratch.occ
                     };
-                    let patched = live.memory.repair_since(
-                        nodes,
-                        &cx.scratch.readout.versions,
-                        &mut cx.scratch.readout.readout,
-                    );
+                    let patched = live
+                        .memory
+                        .repair(
+                            nodes,
+                            &cx.scratch.readout.versions,
+                            &mut cx.scratch.readout.readout,
+                            0,
+                        )
+                        .repaired;
                     if patched == 0 {
                         Post::Done(SnapshotDrift::Clean, w2, ev2)
                     } else {

@@ -17,7 +17,7 @@
 //! cross-process lock mechanism, we launch an additional memory daemon
 //! process" (§3.3).
 //!
-//! # The speculative read → delta → patch lifecycle
+//! # The speculative read → repair lifecycle
 //!
 //! The serialized order makes the node-memory gather the one stage a
 //! trainer cannot pipeline by itself: its Acquire-turn read must
@@ -32,22 +32,23 @@
 //!    data movement overlaps trainer compute. The response is a
 //!    [`VersionedReadout`]: rows plus the per-node write versions they
 //!    were read at.
-//! 2. **Delta** ([`MemoryClient::read_delta`]): at its Acquire turn the
-//!    lane takes its serialized read slot with the tagged version
-//!    vector instead of a full request. The daemon answers with the
-//!    [`MemoryDelta`] — exactly the rows rewritten since the
-//!    speculative gather (writes of intervening turns, or an epoch
-//!    reset, which stamps every node).
-//! 3. **Patch** ([`MemoryDelta::apply`]): the lane overwrites the
-//!    stale rows in its gathered block. The result is bit-identical to
-//!    a full serialized read in the same slot, because rows outside
-//!    the delta were — by the version contract — not written between
-//!    the two points in the daemon's single-threaded order.
+//! 2. **Repair** ([`MemoryClient::read`] with [`ReadRequest::Repair`]):
+//!    at its Acquire turn the lane takes its serialized read slot with
+//!    the tagged version vector and hands the gathered block back. The
+//!    daemon overwrites, in place, exactly the rows rewritten since
+//!    the speculative gather (writes of intervening turns, or an epoch
+//!    reset, which stamps every node) — [`MemoryState::repair`]. The
+//!    result is bit-identical to a full serialized read in the same
+//!    slot, because the other rows were — by the version contract —
+//!    not written between the two points in the daemon's
+//!    single-threaded order. A staleness bound `Some(k)` lets rows at
+//!    most `k` writes behind keep their speculative value; `k = 0`
+//!    admits nothing.
 //!
 //! The contract is exact (not heuristic): the daemon applies all
 //! mutations single-threaded, every mutation bumps the state's write
 //! sequence and stamps the touched nodes, and both the speculative
-//! gather and the delta are computed atomically with respect to that
+//! gather and the repair are computed atomically with respect to that
 //! order. Speculation therefore never changes training results — only
 //! *when* the bytes move (`tests/daemon_overlap_equivalence.rs` pins
 //! this end to end).
@@ -58,9 +59,7 @@
 //! responses), so buffer contents are always synchronized-with the
 //! status transition that announces them.
 
-use crate::state::{
-    MemoryDelta, MemoryReadout, MemoryState, MemoryWrite, RepairOutcome, VersionedReadout,
-};
+use crate::state::{MemoryReadout, MemoryState, MemoryWrite, RepairOutcome, VersionedReadout};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -102,15 +101,14 @@ impl std::error::Error for DaemonError {}
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DaemonStats {
     /// Logical node-memory + mail rows served to *serialized* read
-    /// requests. A delta or bounded-staleness read counts its full
-    /// request length here (it logically serves the same read), so
-    /// this figure is invariant under speculation on/off *and* under
-    /// the staleness bound; the bytes that actually moved at the turn
-    /// are `delta_rows_sent`.
+    /// requests. A repair read counts its full request length here (it
+    /// logically serves the same read), so this figure is invariant
+    /// under speculation on/off *and* under the staleness bound; the
+    /// rows that actually moved at the turn are `delta_rows_sent`.
     pub rows_read: u64,
     /// Rows applied from write requests.
     pub rows_written: u64,
-    /// Serialized read turns served (full, versioned, or delta).
+    /// Serialized read turns served (full or repair).
     pub reads_served: u64,
     /// Write requests served.
     pub writes_served: u64,
@@ -118,17 +116,17 @@ pub struct DaemonStats {
     pub spec_reads_served: u64,
     /// Rows gathered by speculative reads (off the critical path).
     pub spec_rows_read: u64,
-    /// Serialized delta reads served.
+    /// Serialized repair reads served.
     pub delta_reads_served: u64,
-    /// Rows actually shipped by delta reads — the stale rows the
-    /// trainers patched. `delta_rows_sent / spec_rows_read` is the
+    /// Rows actually rewritten by repair reads — the stale rows the
+    /// daemon patched. `delta_rows_sent / spec_rows_read` is the
     /// measured stale fraction of the speculative protocol.
     pub delta_rows_sent: u64,
     /// Nanoseconds the daemon spent actively serving (excludes waiting).
     pub serve_nanos: u64,
-    /// Bounded-staleness repair turns served (the relaxed-mode
-    /// counterpart of `delta_reads_served`; every bounded turn also
-    /// counts there, since it serves the same serialized read slot).
+    /// Repair turns served with a staleness bound (`Some(k)`; every
+    /// bounded turn also counts in `delta_reads_served`, since it
+    /// serves the same serialized read slot).
     pub bounded_reads_served: u64,
     /// Stale rows *admitted* within the staleness bound — repairs
     /// skipped. `delta_rows_sent` remains the repairs actually paid.
@@ -140,61 +138,44 @@ pub struct DaemonStats {
     /// staleness, always ≤ the configured bound.
     pub stale_lag_max: u64,
     /// Modeled wire bytes of the row payloads that actually moved —
-    /// rows shipped by full/versioned/speculative reads, rows patched
-    /// by delta/repair turns, and rows applied from writes, each at
-    /// the store's element width (2 bytes/elem quantized, 4 exact)
-    /// plus the per-row timestamp pair. This is the Table 1 traffic
+    /// rows shipped by full/speculative reads, rows patched by repair
+    /// turns, and rows applied from writes, each at the store's
+    /// element width (2 bytes/elem quantized, 4 exact) plus the
+    /// per-row timestamp pair. This is the Table 1 traffic
     /// figure the `quantized_memory` flag halves.
     pub payload_bytes: u64,
 }
 
-/// A serialized read-slot request.
-enum ReadRequest {
-    /// Plain gather of the nodes' rows.
+/// A serialized read-slot request — what a rank asks for in its read
+/// turn through [`MemoryClient::read`].
+#[derive(Clone, Debug)]
+pub enum ReadRequest {
+    /// Gather the nodes' rows into the caller's readout.
     Full(Vec<u32>),
-    /// Gather plus the version vector it was read at.
-    Versioned(Vec<u32>),
-    /// Only the rows rewritten since the tagged versions.
-    Delta { nodes: Vec<u32>, versions: Vec<u64> },
-    /// Repair the parked response readout in place: overwrite the
-    /// rows rewritten since the tagged versions directly in the
-    /// requester's buffer (the fused hot path — one copy per stale
-    /// row, nothing materialized).
-    Repair { nodes: Vec<u32>, versions: Vec<u64> },
-    /// Bounded-staleness form of `Repair`: stale rows within `bound`
-    /// pending writes keep their tagged value (repair skipped); rows
-    /// beyond the bound, or tagged before the last reset, repair
-    /// exactly. `bound = 0` is behaviorally identical to `Repair`.
-    RepairBounded {
+    /// Repair the caller's readout — a speculative gather of `nodes`
+    /// tagged with `versions` ([`MemoryClient::take_speculation`]) —
+    /// in place against the serialized state ([`MemoryState::repair`]).
+    /// `bound: None` is exact mode; `Some(k)` is bounded staleness:
+    /// stale rows at most `k` writes behind keep their speculative
+    /// value. `Some(0)` repairs exactly what `None` does and only
+    /// additionally counts as a bounded turn in [`DaemonStats`].
+    Repair {
+        /// The speculative gather's node list, in readout row order.
         nodes: Vec<u32>,
+        /// Per-row write versions the gather was tagged with.
         versions: Vec<u64>,
-        bound: u64,
+        /// Staleness bound (`None` = exact).
+        bound: Option<u64>,
     },
 }
 
-impl Default for ReadRequest {
-    fn default() -> Self {
-        Self::Full(Vec::new())
-    }
-}
-
-/// The matching serialized read-slot response. The `Full` variant also
-/// carries the caller's scratch buffer daemon-ward (posted before the
-/// request), so steady-state turns never allocate.
-enum ReadResponse {
-    Full(MemoryReadout),
-    Versioned(VersionedReadout),
-    Delta(MemoryDelta),
-    /// The repaired-in-place readout plus the patched row count.
-    Repaired(MemoryReadout, u64),
-    /// The bounded-repaired readout plus the admission accounting.
-    RepairedBounded(MemoryReadout, RepairOutcome),
-}
-
-impl Default for ReadResponse {
-    fn default() -> Self {
-        Self::Full(MemoryReadout::default())
-    }
+/// The read slot's response: the caller's readout, parked with the
+/// request so the daemon gathers or repairs into reused allocations,
+/// plus the repair accounting.
+#[derive(Default)]
+struct ReadResponse {
+    readout: MemoryReadout,
+    outcome: RepairOutcome,
 }
 
 struct Slot {
@@ -202,7 +183,7 @@ struct Slot {
     write_status: AtomicU8,
     /// Out-of-turn speculative gather channel.
     spec_status: AtomicU8,
-    read_req: Mutex<ReadRequest>,
+    read_req: Mutex<Option<ReadRequest>>,
     read_resp: Mutex<ReadResponse>,
     write_req: Mutex<MemoryWrite>,
     spec_req: Mutex<Vec<u32>>,
@@ -217,7 +198,7 @@ impl Slot {
             read_status: AtomicU8::new(IDLE),
             write_status: AtomicU8::new(IDLE),
             spec_status: AtomicU8::new(IDLE),
-            read_req: Mutex::new(ReadRequest::default()),
+            read_req: Mutex::new(None),
             read_resp: Mutex::new(ReadResponse::default()),
             write_req: Mutex::new(MemoryWrite::default()),
             spec_req: Mutex::new(Vec::new()),
@@ -298,14 +279,10 @@ fn spin_wait(
 /// Clone-free by design: exactly one client per rank, matching the
 /// paper's one-buffer-per-trainer layout.
 ///
-/// Every blocking method has a `try_` form returning
-/// `Result<_, DaemonError>`; the plain forms panic on failure with the
-/// historical messages (internal trainers treat a dead daemon as
-/// fatal, the fault-injection harness and the serving plane use the
-/// `try_` forms). An optional per-client **deadline**
-/// ([`MemoryClient::set_deadline`]) bounds every wait, turning a
-/// wedged schedule into [`DaemonError::Timeout`] instead of an
-/// indefinite spin.
+/// Every blocking call returns `Result<_, DaemonError>`. An optional
+/// per-client **deadline** ([`MemoryClient::set_deadline`]) bounds
+/// every wait, turning a wedged schedule into [`DaemonError::Timeout`]
+/// instead of an indefinite spin.
 pub struct MemoryClient {
     shared: Arc<Shared>,
     rank: usize,
@@ -353,13 +330,36 @@ impl MemoryClient {
         spin_wait(cond, &self.shared.shutdown, self.deadline).map_err(|e| self.poison(e))
     }
 
-    /// Posts a serialized read-slot request and blocks for the
-    /// response.
-    fn try_read_turn(
+    /// Takes this rank's serialized read slot and blocks until the
+    /// daemon serves it. `out` travels to the daemon with the request
+    /// and comes back resized and filled, so steady-state turns
+    /// allocate nothing:
+    ///
+    /// * [`ReadRequest::Full`] gathers the rows into `out`;
+    /// * [`ReadRequest::Repair`] repairs `out` — the speculative
+    ///   readout the versions were tagged on — in place. With
+    ///   `bound: None` (or `Some(0)`) it then equals a full serialized
+    ///   read in this slot, bit for bit.
+    ///
+    /// Returns the repair accounting (all zero for a full read). On
+    /// error `out` is left empty.
+    ///
+    /// # Panics
+    /// Panics if a read is already outstanding on this rank, or if a
+    /// repair's `versions` or `out` rows do not match its `nodes` —
+    /// caller protocol misuse, not a runtime fault.
+    pub fn read(
         &self,
         req: ReadRequest,
-        resp_buffer: Option<ReadResponse>,
-    ) -> Result<ReadResponse, DaemonError> {
+        out: &mut MemoryReadout,
+    ) -> Result<RepairOutcome, DaemonError> {
+        if let ReadRequest::Repair {
+            nodes, versions, ..
+        } = &req
+        {
+            assert_eq!(nodes.len(), versions.len(), "read: version vector length");
+            assert_eq!(out.mem.rows(), nodes.len(), "read: repair readout rows");
+        }
         self.check_poison()?;
         let slot = &self.shared.slots[self.rank];
         // Previous cycle must be fully consumed.
@@ -369,178 +369,17 @@ impl MemoryClient {
             "rank {}: overlapping read requests",
             self.rank
         );
-        if let Some(buffer) = resp_buffer {
-            *slot.read_resp.lock() = buffer;
-        }
-        *slot.read_req.lock() = req;
+        *slot.read_resp.lock() = ReadResponse {
+            readout: std::mem::take(out),
+            outcome: RepairOutcome::default(),
+        };
+        *slot.read_req.lock() = Some(req);
         slot.read_status.store(REQUESTED, Ordering::Release);
         self.wait(|| slot.read_status.load(Ordering::Acquire) == READY)?;
         let resp = std::mem::take(&mut *slot.read_resp.lock());
         slot.read_status.store(IDLE, Ordering::Release);
-        Ok(resp)
-    }
-
-    /// Issues a read for `nodes` and blocks until the daemon serves it
-    /// (the paper's trainers overlap this wait with static-data
-    /// prefetch; callers here do the same by issuing late).
-    ///
-    /// # Panics
-    /// Panics if the daemon shut down mid-request.
-    pub fn read(&self, nodes: &[u32]) -> MemoryReadout {
-        let mut out = MemoryReadout::default();
-        self.read_into(nodes, &mut out);
-        out
-    }
-
-    /// Fallible form of [`MemoryClient::read`].
-    pub fn try_read(&self, nodes: &[u32]) -> Result<MemoryReadout, DaemonError> {
-        let mut out = MemoryReadout::default();
-        self.try_read_into(nodes, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`MemoryClient::read`] gathering into a caller-owned readout:
-    /// the scratch travels to the daemon with the request, the gather
-    /// lands in its (resized) buffers, and the response hands it back —
-    /// steady-state turns allocate nothing.
-    pub fn read_into(&self, nodes: &[u32], out: &mut MemoryReadout) {
-        self.try_read_into(nodes, out)
-            .unwrap_or_else(|e| panic!("memory daemon {e} during read (rank {})", self.rank));
-    }
-
-    /// Fallible form of [`MemoryClient::read_into`].
-    pub fn try_read_into(&self, nodes: &[u32], out: &mut MemoryReadout) -> Result<(), DaemonError> {
-        let buffer = ReadResponse::Full(std::mem::take(out));
-        match self.try_read_turn(ReadRequest::Full(nodes.to_vec()), Some(buffer))? {
-            ReadResponse::Full(r) => {
-                *out = r;
-                Ok(())
-            }
-            _ => unreachable!("full read answered with non-full response"),
-        }
-    }
-
-    /// Serialized read tagged with the version vector it was served at
-    /// (see [`VersionedReadout`]).
-    ///
-    /// # Panics
-    /// Panics if the daemon shut down mid-request.
-    pub fn read_versioned(&self, nodes: &[u32]) -> VersionedReadout {
-        self.try_read_versioned(nodes)
-            .unwrap_or_else(|e| panic!("memory daemon {e} during read (rank {})", self.rank))
-    }
-
-    /// Fallible form of [`MemoryClient::read_versioned`].
-    pub fn try_read_versioned(&self, nodes: &[u32]) -> Result<VersionedReadout, DaemonError> {
-        match self.try_read_turn(ReadRequest::Versioned(nodes.to_vec()), None)? {
-            ReadResponse::Versioned(r) => Ok(r),
-            _ => unreachable!("versioned read answered with wrong response kind"),
-        }
-    }
-
-    /// Takes the rank's serialized read slot with a *delta* request:
-    /// returns only the rows of `nodes` rewritten since the tagged
-    /// `versions` (from an earlier [`MemoryClient::take_speculation`]).
-    /// Applying the delta onto the speculative readout reproduces the
-    /// full serialized read of this turn bit for bit.
-    ///
-    /// # Panics
-    /// Panics on length mismatch or daemon shutdown.
-    pub fn read_delta(&self, nodes: &[u32], versions: &[u64]) -> MemoryDelta {
-        self.try_read_delta(nodes, versions)
-            .unwrap_or_else(|e| panic!("memory daemon {e} during read (rank {})", self.rank))
-    }
-
-    /// Fallible form of [`MemoryClient::read_delta`].
-    pub fn try_read_delta(
-        &self,
-        nodes: &[u32],
-        versions: &[u64],
-    ) -> Result<MemoryDelta, DaemonError> {
-        assert_eq!(nodes.len(), versions.len(), "read_delta: version vector");
-        let req = ReadRequest::Delta {
-            nodes: nodes.to_vec(),
-            versions: versions.to_vec(),
-        };
-        match self.try_read_turn(req, None)? {
-            ReadResponse::Delta(d) => Ok(d),
-            _ => unreachable!("delta read answered with wrong response kind"),
-        }
-    }
-
-    /// The fused hot-path form of [`MemoryClient::read_delta`]: ships
-    /// the speculatively gathered `readout` back to the daemon, which
-    /// repairs the rows rewritten since the tagged `versions` **in
-    /// place** (one copy per stale row, no delta materialization) and
-    /// hands the buffer back. Returns the patched row count; the
-    /// readout then equals this turn's full serialized read bit for
-    /// bit.
-    ///
-    /// # Panics
-    /// Panics on length mismatch or daemon shutdown.
-    pub fn read_delta_into(
-        &self,
-        nodes: &[u32],
-        versions: &[u64],
-        readout: &mut MemoryReadout,
-    ) -> usize {
-        self.try_read_delta_into(nodes, versions, readout)
-            .unwrap_or_else(|e| panic!("memory daemon {e} during read (rank {})", self.rank))
-    }
-
-    /// Fallible form of [`MemoryClient::read_delta_into`].
-    pub fn try_read_delta_into(
-        &self,
-        nodes: &[u32],
-        versions: &[u64],
-        readout: &mut MemoryReadout,
-    ) -> Result<usize, DaemonError> {
-        assert_eq!(nodes.len(), versions.len(), "read_delta_into: versions");
-        let req = ReadRequest::Repair {
-            nodes: nodes.to_vec(),
-            versions: versions.to_vec(),
-        };
-        let buffer = ReadResponse::Repaired(std::mem::take(readout), 0);
-        match self.try_read_turn(req, Some(buffer))? {
-            ReadResponse::Repaired(r, patched) => {
-                *readout = r;
-                Ok(patched as usize)
-            }
-            _ => unreachable!("repair read answered with wrong response kind"),
-        }
-    }
-
-    /// Bounded-staleness form of [`MemoryClient::try_read_delta_into`]
-    /// (the `TrainConfig::staleness_bound` hot path): stale rows whose
-    /// version lag is within `bound` **keep their speculative value**
-    /// — the repair copy is skipped — while rows beyond the bound, or
-    /// tagged before an epoch reset, are repaired exactly. The
-    /// returned [`RepairOutcome`] names the admitted rows (for
-    /// trainer-side staleness compensation) and their lag histogram.
-    /// With `bound = 0` no row is ever admitted and the readout is
-    /// bit-identical to [`MemoryClient::try_read_delta_into`]'s.
-    pub fn try_read_delta_bounded_into(
-        &self,
-        nodes: &[u32],
-        versions: &[u64],
-        readout: &mut MemoryReadout,
-        bound: u64,
-    ) -> Result<RepairOutcome, DaemonError> {
-        assert_eq!(nodes.len(), versions.len(), "read_delta_bounded: versions");
-        let req = ReadRequest::RepairBounded {
-            nodes: nodes.to_vec(),
-            versions: versions.to_vec(),
-            bound,
-        };
-        let buffer =
-            ReadResponse::RepairedBounded(std::mem::take(readout), RepairOutcome::default());
-        match self.try_read_turn(req, Some(buffer))? {
-            ReadResponse::RepairedBounded(r, outcome) => {
-                *readout = r;
-                Ok(outcome)
-            }
-            _ => unreachable!("bounded repair answered with wrong response kind"),
-        }
+        *out = resp.readout;
+        Ok(resp.outcome)
     }
 
     /// Posts an **out-of-turn** speculative gather for `nodes` and
@@ -568,33 +407,12 @@ impl MemoryClient {
         slot.spec_status.store(REQUESTED, Ordering::Release);
     }
 
-    /// True while a speculative read is posted but not yet collected.
-    pub fn speculation_pending(&self) -> bool {
-        self.shared.slots[self.rank]
-            .spec_status
-            .load(Ordering::Acquire)
-            != IDLE
-    }
-
     /// Blocks for the outstanding speculative read's tagged readout.
     ///
     /// # Panics
-    /// Panics if none is outstanding or the daemon shut down.
-    pub fn take_speculation(&self) -> VersionedReadout {
-        self.try_take_speculation().unwrap_or_else(|e| {
-            panic!(
-                "memory daemon {e} during speculative read (rank {})",
-                self.rank
-            )
-        })
-    }
-
-    /// Fallible form of [`MemoryClient::take_speculation`].
-    ///
-    /// # Panics
-    /// Still panics if no speculation is outstanding — that is caller
-    /// protocol misuse, not a runtime fault.
-    pub fn try_take_speculation(&self) -> Result<VersionedReadout, DaemonError> {
+    /// Panics if no speculation is outstanding — caller protocol
+    /// misuse, not a runtime fault.
+    pub fn take_speculation(&self) -> Result<VersionedReadout, DaemonError> {
         self.check_poison()?;
         let slot = &self.shared.slots[self.rank];
         assert_ne!(
@@ -610,18 +428,9 @@ impl MemoryClient {
     }
 
     /// Posts a write and returns once the daemon has accepted the
-    /// buffer hand-off (it is applied in serialized order; a subsequent
-    /// `read` from any rank of a later turn observes it).
-    ///
-    /// # Panics
-    /// Panics if the daemon shut down mid-request.
-    pub fn write(&self, w: MemoryWrite) {
-        self.try_write(w)
-            .unwrap_or_else(|e| panic!("memory daemon {e} during write (rank {})", self.rank))
-    }
-
-    /// Fallible form of [`MemoryClient::write`].
-    pub fn try_write(&self, w: MemoryWrite) -> Result<(), DaemonError> {
+    /// buffer hand-off (it is applied in serialized order; a read of
+    /// any rank in a later turn observes it).
+    pub fn write(&self, w: MemoryWrite) -> Result<(), DaemonError> {
         self.check_poison()?;
         let slot = &self.shared.slots[self.rank];
         self.wait(|| slot.write_status.load(Ordering::Acquire) == IDLE)?;
@@ -747,6 +556,7 @@ impl MemoryDaemon {
         let handle = std::thread::Builder::new()
             .name("disttgl-mem-daemon".into())
             .spawn(move || {
+                let _unwind = ShutdownOnUnwind(&shared2.shutdown);
                 daemon_loop(&mut state, &shared2, i, j, &epoch_lengths, &opts);
                 state
             })
@@ -803,7 +613,8 @@ impl MemoryDaemon {
     }
 
     /// Requests early termination (failure paths / tests). Clients
-    /// blocked in `read`/`write` will panic rather than hang.
+    /// blocked in a request fail with [`DaemonError::Shutdown`] rather
+    /// than hang.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
     }
@@ -819,17 +630,11 @@ impl MemoryDaemon {
 
     /// Blocks until the daemon has finished at least `epoch + 1`
     /// epochs, then returns the state snapshot taken at that epoch's
-    /// end (before the reset). Callers must not hold up their own
+    /// end (before the reset); fails with [`DaemonError::Shutdown`] if
+    /// the daemon stops first. Callers must not hold up their own
     /// memory schedule while waiting — take the snapshot from a rank
     /// whose group turn is over.
-    pub fn epoch_snapshot(&self, epoch: u64) -> MemoryState {
-        self.try_epoch_snapshot(epoch)
-            .unwrap_or_else(|e| panic!("daemon {e} before epoch {epoch} snapshot"))
-    }
-
-    /// Fallible form of [`MemoryDaemon::epoch_snapshot`]; `deadline`
-    /// bounds the wait (`None` waits until shutdown).
-    pub fn try_epoch_snapshot(&self, epoch: u64) -> Result<MemoryState, DaemonError> {
+    pub fn epoch_snapshot(&self, epoch: u64) -> Result<MemoryState, DaemonError> {
         spin_wait(
             || self.shared.epochs_done.load(Ordering::Acquire) > epoch,
             &self.shared.shutdown,
@@ -910,10 +715,24 @@ impl Drop for MemoryDaemon {
     }
 }
 
+/// Publishes `shutdown` if the daemon thread unwinds: a panic while
+/// serving a malformed request (an out-of-range node id, a write whose
+/// rows do not match its nodes) then surfaces to every client as
+/// [`DaemonError::Shutdown`] instead of an endless spin.
+struct ShutdownOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for ShutdownOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+}
+
 /// Charges `rows` row payloads to the wire-byte counter at the live
-/// store's element width. Delta/repair turns charge only the rows
-/// they actually shipped, so this figure (unlike `rows_read`) shrinks
-/// under both speculation and quantization.
+/// store's element width. Repair turns charge only the rows they
+/// actually rewrote, so this figure (unlike `rows_read`) shrinks under
+/// both speculation and quantization.
 #[inline]
 fn add_payload(shared: &Shared, state: &MemoryState, rows: usize) {
     shared.payload_bytes.fetch_add(
@@ -1044,96 +863,53 @@ fn daemon_loop(
                     return;
                 }
                 let t0 = std::time::Instant::now();
-                let req = std::mem::take(&mut *slot.read_req.lock());
+                let req = slot
+                    .read_req
+                    .lock()
+                    .take()
+                    .expect("read slot requested without a request");
                 let mut resp = slot.read_resp.lock();
-                match req {
+                let ReadResponse { readout, outcome } = &mut *resp;
+                let nodes = match req {
                     ReadRequest::Full(nodes) => {
-                        // Gather into the requester's parked scratch.
-                        match &mut *resp {
-                            ReadResponse::Full(buffer) => state.read_into(&nodes, buffer),
-                            other => *other = ReadResponse::Full(state.read(&nodes)),
-                        }
-                        shared
-                            .rows_read
-                            .fetch_add(nodes.len() as u64, Ordering::Relaxed);
+                        state.read_into(&nodes, readout);
                         add_payload(shared, state, nodes.len());
+                        nodes
                     }
-                    ReadRequest::Versioned(nodes) => {
-                        *resp = ReadResponse::Versioned(state.read_versioned(&nodes));
-                        shared
-                            .rows_read
-                            .fetch_add(nodes.len() as u64, Ordering::Relaxed);
-                        add_payload(shared, state, nodes.len());
-                    }
-                    ReadRequest::Delta { nodes, versions } => {
-                        let d = state.delta_since(&nodes, &versions);
-                        shared
-                            .delta_rows_sent
-                            .fetch_add(d.len() as u64, Ordering::Relaxed);
-                        add_payload(shared, state, d.len());
-                        shared.delta_reads_served.fetch_add(1, Ordering::Relaxed);
-                        // Logical rows served — keeps the read-volume
-                        // accounting invariant under speculation.
-                        shared
-                            .rows_read
-                            .fetch_add(nodes.len() as u64, Ordering::Relaxed);
-                        *resp = ReadResponse::Delta(d);
-                    }
-                    ReadRequest::Repair { nodes, versions } => {
-                        let patched = match &mut *resp {
-                            ReadResponse::Repaired(buffer, count) => {
-                                let patched = state.repair_since(&nodes, &versions, buffer);
-                                *count = patched as u64;
-                                patched
-                            }
-                            _ => unreachable!("repair request without a parked readout"),
-                        };
-                        shared
-                            .delta_rows_sent
-                            .fetch_add(patched as u64, Ordering::Relaxed);
-                        add_payload(shared, state, patched);
-                        shared.delta_reads_served.fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .rows_read
-                            .fetch_add(nodes.len() as u64, Ordering::Relaxed);
-                    }
-                    ReadRequest::RepairBounded {
+                    ReadRequest::Repair {
                         nodes,
                         versions,
                         bound,
                     } => {
-                        let (repaired, admitted, lag_sum, max_lag) = match &mut *resp {
-                            ReadResponse::RepairedBounded(buffer, parked) => {
-                                *parked = state.repair_lagged(&nodes, &versions, buffer, bound);
-                                (
-                                    parked.repaired,
-                                    parked.admitted_stale,
-                                    parked.lag_sum,
-                                    parked.max_lag,
-                                )
-                            }
-                            _ => unreachable!("bounded repair without a parked readout"),
-                        };
-                        // Paid repairs move bytes exactly like Repair;
-                        // admitted rows move nothing.
+                        *outcome = state.repair(&nodes, &versions, readout, bound.unwrap_or(0));
+                        // Paid repairs move bytes; admitted rows move
+                        // nothing.
                         shared
                             .delta_rows_sent
-                            .fetch_add(repaired as u64, Ordering::Relaxed);
-                        add_payload(shared, state, repaired);
+                            .fetch_add(outcome.repaired as u64, Ordering::Relaxed);
+                        add_payload(shared, state, outcome.repaired);
                         shared.delta_reads_served.fetch_add(1, Ordering::Relaxed);
-                        shared.bounded_reads_served.fetch_add(1, Ordering::Relaxed);
+                        if bound.is_some() {
+                            shared.bounded_reads_served.fetch_add(1, Ordering::Relaxed);
+                        }
                         shared
                             .stale_rows_admitted
-                            .fetch_add(admitted as u64, Ordering::Relaxed);
-                        shared.stale_lag_sum.fetch_add(lag_sum, Ordering::Relaxed);
-                        shared.stale_lag_max.fetch_max(max_lag, Ordering::Relaxed);
-                        // Logical rows served — the speculation/bound
-                        // invariance of `rows_read`.
+                            .fetch_add(outcome.admitted_stale as u64, Ordering::Relaxed);
                         shared
-                            .rows_read
-                            .fetch_add(nodes.len() as u64, Ordering::Relaxed);
+                            .stale_lag_sum
+                            .fetch_add(outcome.lag_sum, Ordering::Relaxed);
+                        shared
+                            .stale_lag_max
+                            .fetch_max(outcome.max_lag, Ordering::Relaxed);
+                        nodes
                     }
-                }
+                };
+                // Logical rows served: a repair counts its full
+                // request, so `rows_read` is invariant under
+                // speculation and the staleness bound.
+                shared
+                    .rows_read
+                    .fetch_add(nodes.len() as u64, Ordering::Relaxed);
                 drop(resp);
                 shared.reads_served.fetch_add(1, Ordering::Relaxed);
                 shared
@@ -1200,6 +976,30 @@ mod tests {
     use super::*;
     use disttgl_tensor::Matrix;
 
+    fn full(client: &MemoryClient, nodes: &[u32]) -> Result<MemoryReadout, DaemonError> {
+        let mut out = MemoryReadout::default();
+        client.read(ReadRequest::Full(nodes.to_vec()), &mut out)?;
+        Ok(out)
+    }
+
+    /// Repairs a collected speculation of `nodes` in this rank's read
+    /// slot.
+    fn repair(
+        client: &MemoryClient,
+        nodes: &[u32],
+        tagged: VersionedReadout,
+        bound: Option<u64>,
+    ) -> (MemoryReadout, RepairOutcome) {
+        let mut out = tagged.readout;
+        let req = ReadRequest::Repair {
+            nodes: nodes.to_vec(),
+            versions: tagged.versions,
+            bound,
+        };
+        let outcome = client.read(req, &mut out).unwrap();
+        (out, outcome)
+    }
+
     fn write_of(nodes: Vec<u32>, d_mem: usize, mail_dim: usize, fill: f32, ts: f32) -> MemoryWrite {
         let n = nodes.len();
         MemoryWrite {
@@ -1220,13 +1020,13 @@ mod tests {
 
         for step in 0..3u32 {
             let nodes = vec![step, step + 1];
-            let got = client.read(&nodes);
+            let got = full(&client, &nodes).unwrap();
             let want = reference.read(&nodes);
             assert_eq!(got.mem, want.mem, "step {}", step);
             assert_eq!(got.mail_ts, want.mail_ts);
             let w = write_of(nodes, 2, 3, step as f32 + 1.0, step as f32);
             reference.write(&w);
-            client.write(w);
+            client.write(w).unwrap();
         }
         let (final_state, stats) = daemon.join();
         assert_eq!(
@@ -1250,14 +1050,14 @@ mod tests {
         let c1 = daemon.client(1);
 
         let t1 = std::thread::spawn(move || {
-            let r = c1.read(&[0]);
-            c1.write(write_of(vec![1], 1, 1, 7.0, 2.0));
+            let r = full(&c1, &[0]).unwrap();
+            c1.write(write_of(vec![1], 1, 1, 7.0, 2.0)).unwrap();
             r
         });
         // Rank 0 goes first in the serialized order.
-        let r0 = c0.read(&[0]);
+        let r0 = full(&c0, &[0]).unwrap();
         assert_eq!(r0.mem.get(0, 0), 0.0);
-        c0.write(write_of(vec![0], 1, 1, 5.0, 1.0));
+        c0.write(write_of(vec![0], 1, 1, 5.0, 1.0)).unwrap();
 
         let r1 = t1.join().unwrap();
         assert_eq!(r1.mem.get(0, 0), 5.0, "rank 1 must see rank 0's write");
@@ -1282,9 +1082,11 @@ mod tests {
                 // Sub-group g owns steps s with s % j == g.
                 for s in (g..steps).step_by(j) {
                     let node = (s * i + (rank % i)) as u32;
-                    let r = client.read(&[node]);
+                    let r = full(&client, &[node]).unwrap();
                     log.push((node, r.mem.get(0, 0)));
-                    client.write(write_of(vec![node], 2, 2, (s + 1) as f32, s as f32));
+                    client
+                        .write(write_of(vec![node], 2, 2, (s + 1) as f32, s as f32))
+                        .unwrap();
                 }
                 log
             }));
@@ -1315,13 +1117,13 @@ mod tests {
         let daemon = MemoryDaemon::spawn(MemoryState::new(4, 1, 1), 1, 1, 1, 2);
         let client = daemon.client(0);
         // Epoch 0.
-        let r = client.read(&[0]);
+        let r = full(&client, &[0]).unwrap();
         assert_eq!(r.mem.get(0, 0), 0.0);
-        client.write(write_of(vec![0], 1, 1, 42.0, 1.0));
+        client.write(write_of(vec![0], 1, 1, 42.0, 1.0)).unwrap();
         // Epoch 1: daemon reset must have cleared node 0.
-        let r = client.read(&[0]);
+        let r = full(&client, &[0]).unwrap();
         assert_eq!(r.mem.get(0, 0), 0.0, "epoch reset failed");
-        client.write(write_of(vec![0], 1, 1, 7.0, 1.0));
+        client.write(write_of(vec![0], 1, 1, 7.0, 1.0)).unwrap();
         let (state, _) = daemon.join();
         assert_eq!(state.read(&[0]).mem.get(0, 0), 7.0);
     }
@@ -1330,15 +1132,15 @@ mod tests {
     fn epoch_snapshot_captures_pre_reset_state() {
         let daemon = MemoryDaemon::spawn(MemoryState::new(4, 1, 1), 1, 1, 1, 2);
         let client = daemon.client(0);
-        let _ = client.read(&[0]);
-        client.write(write_of(vec![0], 1, 1, 42.0, 1.0));
+        let _ = full(&client, &[0]).unwrap();
+        client.write(write_of(vec![0], 1, 1, 42.0, 1.0)).unwrap();
         // Snapshot of epoch 0 must contain the write even though the
         // live state is reset for epoch 1.
-        let snap = daemon.epoch_snapshot(0);
+        let snap = daemon.epoch_snapshot(0).unwrap();
         assert_eq!(snap.read(&[0]).mem.get(0, 0), 42.0);
-        let _ = client.read(&[0]);
-        client.write(write_of(vec![0], 1, 1, 7.0, 1.0));
-        let snap1 = daemon.epoch_snapshot(1);
+        let _ = full(&client, &[0]).unwrap();
+        client.write(write_of(vec![0], 1, 1, 7.0, 1.0)).unwrap();
+        let snap1 = daemon.epoch_snapshot(1).unwrap();
         assert_eq!(snap1.read(&[0]).mem.get(0, 0), 7.0);
         let _ = daemon.join();
     }
@@ -1358,8 +1160,10 @@ mod tests {
         let client = daemon.client(0);
         let nodes: Vec<u32> = (0..64).collect();
         for s in 0..2 {
-            let _ = client.read(&nodes);
-            client.write(write_of(nodes.clone(), 8, 8, 1.0, s as f32));
+            let _ = full(&client, &nodes).unwrap();
+            client
+                .write(write_of(nodes.clone(), 8, 8, 1.0, s as f32))
+                .unwrap();
         }
         let (_, stats) = daemon.join();
         assert!(stats.serve_nanos > 0);
@@ -1367,9 +1171,9 @@ mod tests {
     }
 
     /// The full speculative lifecycle on one rank: speculate before the
-    /// turn, collect, delta in the read slot, patch — bit-identical to
-    /// what a full serialized read would have returned, across writes
-    /// *and* an epoch reset.
+    /// turn, collect, repair in the read slot — bit-identical to what a
+    /// full serialized read would have returned, across writes *and*
+    /// an epoch reset.
     #[test]
     fn speculate_delta_patch_equals_serialized_read() {
         let daemon = MemoryDaemon::spawn(MemoryState::new(8, 2, 2), 1, 1, 4, 2);
@@ -1384,17 +1188,15 @@ mod tests {
                 match tagged.take() {
                     None => {
                         // Cold start: plain full read.
-                        let got = client.read(&nodes);
+                        let got = full(&client, &nodes).unwrap();
                         assert_eq!(got.mem, reference.read(&nodes).mem);
                     }
                     Some(tagged) => {
                         // The speculation was collected before the
                         // previous write (and possibly across the epoch
-                        // reset) — the delta must repair it to the
+                        // reset) — the repair must bring it to the
                         // serialized answer.
-                        let d = client.read_delta(&nodes, &tagged.versions);
-                        let mut patched = tagged.readout;
-                        d.apply(&mut patched);
+                        let (patched, _) = repair(&client, &nodes, tagged, None);
                         let want = reference.read(&nodes);
                         assert_eq!(patched.mem, want.mem, "epoch {epoch} step {s}");
                         assert_eq!(patched.mem_ts, want.mem_ts);
@@ -1408,11 +1210,11 @@ mod tests {
                 // spinning for our write request).
                 if !(epoch == 1 && s == 3) {
                     client.speculate_read(&nodes, VersionedReadout::default());
-                    tagged = Some(client.take_speculation());
+                    tagged = Some(client.take_speculation().unwrap());
                 }
                 let w = write_of(vec![s % 8, (s + 3) % 8], 2, 2, (s + 1) as f32, s as f32);
                 reference.write(&w);
-                client.write(w);
+                client.write(w).unwrap();
             }
         }
         let (state, stats) = daemon.join();
@@ -1427,8 +1229,8 @@ mod tests {
         assert_eq!(stats.rows_read, 32);
     }
 
-    /// The fused in-place repair (`read_delta_into`) must reproduce a
-    /// serialized read exactly, like the delta-ship path does.
+    /// The repair happens in the caller's own buffer and patches
+    /// exactly the stale rows, reproducing a serialized read.
     #[test]
     fn read_delta_into_repairs_in_place() {
         let daemon = MemoryDaemon::spawn(MemoryState::new(8, 2, 2), 1, 1, 4, 1);
@@ -1441,25 +1243,25 @@ mod tests {
         for s in 0..4u32 {
             match tagged.take() {
                 None => {
-                    let _ = client.read(&nodes);
+                    let _ = full(&client, &nodes).unwrap();
                 }
-                Some(mut tagged) => {
-                    let patched =
-                        client.read_delta_into(&nodes, &tagged.versions, &mut tagged.readout);
+                Some(tagged) => {
+                    let (patched, outcome) = repair(&client, &nodes, tagged, None);
                     let want = reference.read(&nodes);
-                    assert_eq!(tagged.readout.mem, want.mem, "step {s}");
-                    assert_eq!(tagged.readout.mail, want.mail);
-                    assert_eq!(tagged.readout.mem_ts, want.mem_ts);
-                    assert_eq!(tagged.readout.mail_ts, want.mail_ts);
+                    assert_eq!(patched.mem, want.mem, "step {s}");
+                    assert_eq!(patched.mail, want.mail);
+                    assert_eq!(patched.mem_ts, want.mem_ts);
+                    assert_eq!(patched.mail_ts, want.mail_ts);
                     // Every write below hits a read-set node.
-                    assert_eq!(patched, 1, "step {s}");
+                    assert_eq!(outcome.repaired, 1, "step {s}");
+                    assert_eq!(outcome.admitted_stale, 0);
                 }
             }
             if s < 3 {
                 // Speculate and collect *before* this turn's write —
                 // guaranteed one stale row next turn.
                 client.speculate_read(&nodes, VersionedReadout::default());
-                tagged = Some(client.take_speculation());
+                tagged = Some(client.take_speculation().unwrap());
             }
             let w = write_of(
                 vec![nodes[(s % 3) as usize]],
@@ -1469,18 +1271,18 @@ mod tests {
                 s as f32,
             );
             reference.write(&w);
-            client.write(w);
+            client.write(w).unwrap();
         }
         let (state, stats) = daemon.join();
         let all: Vec<u32> = (0..8).collect();
         assert_eq!(state.read(&all).mem, reference.read(&all).mem);
         assert_eq!(stats.delta_reads_served, 3);
         assert_eq!(stats.delta_rows_sent, 3);
+        assert_eq!(stats.bounded_reads_served, 0);
     }
 
     /// A speculation left uncollected must not wedge the daemon's
-    /// shutdown path, and the client side must panic (not hang) if it
-    /// tries to collect after shutdown.
+    /// shutdown path, and dropping the client afterwards is clean.
     #[test]
     fn uncollected_speculation_drops_cleanly() {
         let daemon = MemoryDaemon::spawn(MemoryState::new(4, 1, 1), 1, 1, 10, 1);
@@ -1499,28 +1301,42 @@ mod tests {
         let daemon = MemoryDaemon::spawn(MemoryState::new(8, 2, 2), 1, 1, 2, 1);
         let client = daemon.client(0);
         let mut scratch = MemoryReadout::default();
-        client.read_into(&[1, 2, 3], &mut scratch);
+        client
+            .read(ReadRequest::Full(vec![1, 2, 3]), &mut scratch)
+            .unwrap();
         assert_eq!(scratch.mem.shape(), (3, 2));
-        client.write(write_of(vec![2], 2, 2, 5.0, 1.0));
-        client.read_into(&[2], &mut scratch);
+        client.write(write_of(vec![2], 2, 2, 5.0, 1.0)).unwrap();
+        client
+            .read(ReadRequest::Full(vec![2]), &mut scratch)
+            .unwrap();
         assert_eq!(scratch.mem.shape(), (1, 2));
         assert_eq!(scratch.mem.get(0, 0), 5.0);
-        client.write(write_of(vec![0], 2, 2, 1.0, 2.0));
+        client.write(write_of(vec![0], 2, 2, 1.0, 2.0)).unwrap();
         let _ = daemon.join();
     }
 
+    /// Speculative reads are tagged with the version vector of the
+    /// serialized state they were served against.
     #[test]
     fn versioned_read_tags_serialized_versions() {
         let daemon = MemoryDaemon::spawn(MemoryState::new(4, 1, 1), 1, 1, 2, 1);
         let client = daemon.client(0);
-        let vr = client.read_versioned(&[0, 1]);
-        // Turn 1 of epoch 0: only the reset (version 1) has happened.
+        // Served while the daemon waits for turn 0's read: only the
+        // epoch-start reset (version 1) has happened.
+        client.speculate_read(&[0, 1], VersionedReadout::default());
+        let vr = client.take_speculation().unwrap();
         assert_eq!(vr.versions, vec![1, 1]);
-        client.write(write_of(vec![1], 1, 1, 2.0, 1.0));
-        let vr = client.read_versioned(&[0, 1]);
+        let _ = full(&client, &[0]).unwrap();
+        client.write(write_of(vec![1], 1, 1, 2.0, 1.0)).unwrap();
+        // Turn 1's read is serialized after turn 0's write; the
+        // speculation is served while the daemon waits for turn 1's
+        // write, so it observes that write.
+        let _ = full(&client, &[0]).unwrap();
+        client.speculate_read(&[0, 1], vr);
+        let vr = client.take_speculation().unwrap();
         assert_eq!(vr.versions, vec![1, 2]);
         assert_eq!(vr.readout.mem.get(1, 0), 2.0);
-        client.write(write_of(vec![0], 1, 1, 3.0, 2.0));
+        client.write(write_of(vec![0], 1, 1, 3.0, 2.0)).unwrap();
         let _ = daemon.join();
     }
 
@@ -1531,9 +1347,9 @@ mod tests {
         let daemon = MemoryDaemon::spawn(MemoryState::new(4, 1, 1), 1, 1, 10, 1);
         let client = daemon.client(0);
         daemon.shutdown();
-        assert!(matches!(client.try_read(&[0]), Err(DaemonError::Shutdown)));
+        assert!(matches!(full(&client, &[0]), Err(DaemonError::Shutdown)));
         assert_eq!(
-            client.try_write(write_of(vec![0], 1, 1, 1.0, 1.0)),
+            client.write(write_of(vec![0], 1, 1, 1.0, 1.0)),
             Err(DaemonError::Shutdown)
         );
         let _ = daemon.join();
@@ -1548,12 +1364,12 @@ mod tests {
         let daemon = MemoryDaemon::spawn(MemoryState::new(4, 1, 1), 1, 2, 2, 1);
         let mut c1 = daemon.client(1);
         c1.set_deadline(Some(std::time::Duration::from_millis(20)));
-        assert!(matches!(c1.try_read(&[0]), Err(DaemonError::Timeout)));
+        assert!(matches!(full(&c1, &[0]), Err(DaemonError::Timeout)));
         // Poisoned: instant failure, even with no deadline set.
         c1.set_deadline(None);
-        assert!(matches!(c1.try_read(&[0]), Err(DaemonError::Timeout)));
+        assert!(matches!(full(&c1, &[0]), Err(DaemonError::Timeout)));
         assert_eq!(
-            c1.try_write(write_of(vec![0], 1, 1, 1.0, 1.0)),
+            c1.write(write_of(vec![0], 1, 1, 1.0, 1.0)),
             Err(DaemonError::Timeout)
         );
         daemon.shutdown();
@@ -1570,10 +1386,10 @@ mod tests {
         let mut reference = MemoryState::new(8, 2, 2);
         reference.reset();
         for s in 0..2u32 {
-            let _ = client.read(&[s]);
+            let _ = full(&client, &[s]).unwrap();
             let w = write_of(vec![s], 2, 2, s as f32 + 1.0, s as f32);
             reference.write(&w);
-            client.write(w);
+            client.write(w).unwrap();
         }
         // No turn-2 read is in flight — the capture condition holds.
         daemon.capture_at(2);
@@ -1584,10 +1400,10 @@ mod tests {
         assert_eq!(cap.node_versions(), reference.node_versions());
         // Schedule continues untouched.
         for s in 2..4u32 {
-            let _ = client.read(&[s]);
+            let _ = full(&client, &[s]).unwrap();
             let w = write_of(vec![s], 2, 2, s as f32 + 1.0, s as f32);
             reference.write(&w);
-            client.write(w);
+            client.write(w).unwrap();
         }
         let (state, _) = daemon.join();
         assert_eq!(state.checksum(), reference.checksum());
@@ -1621,16 +1437,16 @@ mod tests {
         let daemon = MemoryDaemon::spawn_schedule(MemoryState::new(4, 1, 1), 1, 1, lengths.clone());
         let client = daemon.client(0);
         for s in 0..3u32 {
-            let _ = client.read(&[s % 4]);
-            client.write(turn_write(s));
+            let _ = full(&client, &[s % 4]).unwrap();
+            client.write(turn_write(s)).unwrap();
         }
         daemon.capture_at(3);
         let cap = daemon
             .take_capture(Some(std::time::Duration::from_secs(5)))
             .expect("capture served");
         for s in 3..5u32 {
-            let _ = client.read(&[s % 4]);
-            client.write(turn_write(s));
+            let _ = full(&client, &[s % 4]).unwrap();
+            client.write(turn_write(s)).unwrap();
         }
         let (oracle, _) = daemon.join();
 
@@ -1648,12 +1464,12 @@ mod tests {
         assert_eq!(resumed.epochs_done(), 1, "epoch 0 counts as done");
         let client = resumed.client(0);
         for s in 3..5u32 {
-            let _ = client.read(&[s % 4]);
-            client.write(turn_write(s));
+            let _ = full(&client, &[s % 4]).unwrap();
+            client.write(turn_write(s)).unwrap();
         }
         // Epoch indexing stays continuous: the resumed daemon's first
         // finished epoch is epoch 1.
-        let snap = resumed.epoch_snapshot(1);
+        let snap = resumed.epoch_snapshot(1).unwrap();
         let (state, _) = resumed.join();
         assert_eq!(state.checksum(), oracle.checksum());
         assert_eq!(state.node_versions(), oracle.node_versions());
@@ -1667,7 +1483,7 @@ mod tests {
     /// the boundary. Resume re-applies the reset, which is
     /// content-idempotent — final contents match the oracle. Version
     /// *values* drift by the extra reset stamp, which is fine: only
-    /// intra-daemon version consistency matters for the delta
+    /// intra-daemon version consistency matters for the repair
     /// protocol, so we assert content (checksum) here, not versions.
     #[test]
     fn capture_at_epoch_boundary_resumes_identically() {
@@ -1677,8 +1493,8 @@ mod tests {
         let daemon = MemoryDaemon::spawn_schedule(MemoryState::new(4, 1, 1), 1, 1, lengths.clone());
         let client = daemon.client(0);
         for s in 0..2u32 {
-            let _ = client.read(&[s % 4]);
-            client.write(turn_write(s));
+            let _ = full(&client, &[s % 4]).unwrap();
+            client.write(turn_write(s)).unwrap();
         }
         // Global turn 2 == end of epoch 0 == start of epoch 1: the
         // capture is served post-reset, deterministically.
@@ -1694,8 +1510,8 @@ mod tests {
             "epoch-boundary capture holds the post-reset state"
         );
         for s in 2..4u32 {
-            let _ = client.read(&[s % 4]);
-            client.write(turn_write(s));
+            let _ = full(&client, &[s % 4]).unwrap();
+            client.write(turn_write(s)).unwrap();
         }
         let (oracle, _) = daemon.join();
 
@@ -1712,8 +1528,8 @@ mod tests {
         assert_eq!(resumed.epochs_done(), 1);
         let client = resumed.client(0);
         for s in 2..4u32 {
-            let _ = client.read(&[s % 4]);
-            client.write(turn_write(s));
+            let _ = full(&client, &[s % 4]).unwrap();
+            client.write(turn_write(s)).unwrap();
         }
         let (state, _) = resumed.join();
         assert_eq!(state.checksum(), oracle.checksum());
@@ -1736,16 +1552,16 @@ mod tests {
         );
         let client = daemon.client(0);
         for s in 0..2u32 {
-            let _ = client.try_read(&[s]).expect("pre-fault turn");
+            let _ = full(&client, &[s]).expect("pre-fault turn");
             client
-                .try_write(write_of(vec![s], 1, 1, 9.0, s as f32))
+                .write(write_of(vec![s], 1, 1, 9.0, s as f32))
                 .expect("pre-fault write");
         }
         // The daemon announces shutdown after turn 2; the next request
         // fails structurally rather than hanging or panicking.
         let mut c = client;
         c.set_deadline(Some(std::time::Duration::from_secs(5)));
-        assert!(matches!(c.try_read(&[0]), Err(DaemonError::Shutdown)));
+        assert!(matches!(full(&c, &[0]), Err(DaemonError::Shutdown)));
         let (state, stats) = daemon.join();
         assert_eq!(stats.writes_served, 2);
         assert_eq!(state.read(&[0, 1]).mem.get(0, 0), 9.0);
@@ -1768,8 +1584,8 @@ mod tests {
             MemoryDaemon::spawn_schedule(MemoryState::new(4, 1, 1), 1, 1, lengths.clone());
         let oc = oracle_d.client(0);
         for s in 0..6u32 {
-            let _ = oc.read(&[s % 4]);
-            oc.write(turn_write(s));
+            let _ = full(&oc, &[s % 4]).unwrap();
+            oc.write(turn_write(s)).unwrap();
         }
         let (oracle, _) = oracle_d.join();
 
@@ -1788,18 +1604,18 @@ mod tests {
         let mut client = daemon.client(0);
         client.set_deadline(Some(std::time::Duration::from_secs(5)));
         for s in 0..2u32 {
-            let _ = client.try_read(&[s % 4]).expect("pre-capture turn");
-            client.try_write(turn_write(s)).expect("pre-capture write");
+            let _ = full(&client, &[s % 4]).expect("pre-capture turn");
+            client.write(turn_write(s)).expect("pre-capture write");
         }
         daemon.capture_at(2);
         let cap = daemon
             .take_capture(Some(std::time::Duration::from_secs(5)))
             .expect("capture served");
         for s in 2..4u32 {
-            let _ = client.try_read(&[s % 4]).expect("pre-fault turn");
-            client.try_write(turn_write(s)).expect("pre-fault write");
+            let _ = full(&client, &[s % 4]).expect("pre-fault turn");
+            client.write(turn_write(s)).expect("pre-fault write");
         }
-        assert!(matches!(client.try_read(&[0]), Err(DaemonError::Shutdown)));
+        assert!(matches!(full(&client, &[0]), Err(DaemonError::Shutdown)));
         assert!(daemon.is_shutdown(), "fault announces itself");
         drop(daemon);
 
@@ -1817,11 +1633,97 @@ mod tests {
         );
         let rc = resumed.client(0);
         for s in 2..6u32 {
-            let _ = rc.read(&[s % 4]);
-            rc.write(turn_write(s));
+            let _ = full(&rc, &[s % 4]).unwrap();
+            rc.write(turn_write(s)).unwrap();
         }
         let (state, _) = resumed.join();
         assert_eq!(state.checksum(), oracle.checksum());
         assert_eq!(state.node_versions(), oracle.node_versions());
+    }
+
+    /// Exact mode is the k = 0 case of bounded repair: `bound: None`
+    /// and `bound: Some(0)` return bit-identical readouts and identical
+    /// counters, except that only the latter counts bounded turns
+    /// (`serve_nanos` is wall time and differs by nature).
+    #[test]
+    fn exact_and_bound_zero_repairs_are_identical() {
+        let run = |bound: Option<u64>| {
+            let daemon = MemoryDaemon::spawn(MemoryState::new(8, 2, 3), 1, 1, 4, 2);
+            let client = daemon.client(0);
+            let nodes = [0u32, 2, 3, 5, 7];
+            let mut readouts = Vec::new();
+            let mut tagged: Option<VersionedReadout> = None;
+            for turn in 0..8u32 {
+                let got = match tagged.take() {
+                    None => full(&client, &nodes).unwrap(),
+                    Some(tagged) => repair(&client, &nodes, tagged, bound).0,
+                };
+                readouts.push(got);
+                if turn != 7 {
+                    client.speculate_read(&nodes, VersionedReadout::default());
+                    tagged = Some(client.take_speculation().unwrap());
+                }
+                let s = turn % 4;
+                client
+                    .write(write_of(
+                        vec![s, s + 3],
+                        2,
+                        3,
+                        turn as f32 + 0.5,
+                        turn as f32,
+                    ))
+                    .unwrap();
+            }
+            let (_, stats) = daemon.join();
+            (readouts, stats)
+        };
+        let (exact, exact_stats) = run(None);
+        let (zero, zero_stats) = run(Some(0));
+        for (a, b) in exact.iter().zip(&zero) {
+            assert_eq!(a.mem, b.mem);
+            assert_eq!(a.mem_ts, b.mem_ts);
+            assert_eq!(a.mail, b.mail);
+            assert_eq!(a.mail_ts, b.mail_ts);
+        }
+        assert_eq!(exact_stats.bounded_reads_served, 0);
+        assert_eq!(zero_stats.bounded_reads_served, 7);
+        assert!(
+            exact_stats.delta_rows_sent > 0,
+            "writes intersected the reads"
+        );
+        let masked = |s: DaemonStats| DaemonStats {
+            bounded_reads_served: 0,
+            serve_nanos: 0,
+            ..s
+        };
+        assert_eq!(masked(exact_stats), masked(zero_stats));
+    }
+
+    /// A panic on the daemon thread — here a write whose rows do not
+    /// match its nodes — publishes shutdown: a client blocked with no
+    /// deadline gets `Shutdown` instead of spinning forever, and
+    /// dropping the daemon afterwards does not hang.
+    #[test]
+    fn daemon_panic_fails_blocked_clients_with_shutdown() {
+        // i = 1, j = 2: rank 1's read waits for rank 0's turn, which
+        // carries the malformed write.
+        let daemon = MemoryDaemon::spawn(MemoryState::new(4, 1, 1), 1, 2, 2, 1);
+        let c0 = daemon.client(0);
+        let c1 = daemon.client(1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let blocked = std::thread::spawn(move || {
+            let _ = tx.send(full(&c1, &[0]).map(|_| ()));
+        });
+        let _ = full(&c0, &[0]).unwrap();
+        let mut bad = write_of(vec![0, 1], 1, 1, 1.0, 1.0);
+        bad.mem = Matrix::zeros(1, 1);
+        c0.write(bad).unwrap();
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("blocked client hung after a daemon panic");
+        assert_eq!(got, Err(DaemonError::Shutdown));
+        blocked.join().unwrap();
+        assert!(daemon.is_shutdown());
+        drop(daemon);
     }
 }

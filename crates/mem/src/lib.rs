@@ -30,19 +30,20 @@
 //!
 //! Both stores are **write-tracked**: every applied [`MemoryWrite`]
 //! (and epoch reset) stamps a monotone version onto the touched nodes,
-//! so a reader holding the version vector of an earlier gather can ask
-//! for exactly the rows rewritten since ([`MemoryState::delta_since`],
-//! [`MemoryClient::read_delta`]). The daemon uses this to serve
+//! so a reader holding the version vector of an earlier gather can
+//! repair exactly the rows rewritten since, in place
+//! ([`MemoryState::repair`], or [`ReadRequest::Repair`] through
+//! [`MemoryClient::read`]). The daemon uses this to serve
 //! **speculative out-of-turn reads** while it would otherwise idle —
-//! the speculative read → delta → patch lifecycle documented in the
-//! `daemon` module docs — which lets distributed trainers overlap
-//! the serialized phase-2 gather with compute without changing any
+//! the speculative read → repair lifecycle documented in the `daemon`
+//! module docs — which lets distributed trainers overlap the
+//! serialized phase-2 gather with compute without changing any
 //! training result.
 
 mod daemon;
 mod state;
 
-pub use daemon::{DaemonError, DaemonOptions, DaemonStats, MemoryClient, MemoryDaemon};
-pub use state::{
-    MemoryDelta, MemoryReadout, MemoryState, MemoryWrite, RepairOutcome, VersionedReadout,
+pub use daemon::{
+    DaemonError, DaemonOptions, DaemonStats, MemoryClient, MemoryDaemon, ReadRequest,
 };
+pub use state::{MemoryReadout, MemoryState, MemoryWrite, RepairOutcome, VersionedReadout};

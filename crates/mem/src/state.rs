@@ -4,10 +4,9 @@
 //! [`MemoryState::reset`]) bumps a monotone **write sequence** and
 //! stamps it onto the touched nodes' per-node versions. A reader that
 //! records the version vector of its gather
-//! ([`MemoryState::read_versioned`]) can later ask for exactly the
-//! rows rewritten since ([`MemoryState::delta_since`]) — the primitive
-//! the memory daemon's speculative-read / delta-repair protocol is
-//! built on.
+//! ([`MemoryState::read_versioned`]) can later repair exactly the rows
+//! rewritten since, in place ([`MemoryState::repair`]) — the primitive
+//! the memory daemon's speculative-read / repair protocol is built on.
 //!
 //! The store has two row representations: exact **f32** (the default,
 //! part of the bit-reproducibility contract) and opt-in **bf16**
@@ -40,62 +39,14 @@ pub struct MemoryReadout {
 
 /// A readout tagged with the version vector it was gathered at:
 /// `versions[r]` is the write version of row `r`'s node at gather
-/// time. Feed the vector back into [`MemoryState::delta_since`] (or
-/// `MemoryClient::read_delta` on the daemon path) to learn exactly
-/// which rows a later state has rewritten.
+/// time. Hand both back to [`MemoryState::repair`] (or to the daemon's
+/// `ReadRequest::Repair`) to bring the readout up to a later state.
 #[derive(Clone, Debug, Default)]
 pub struct VersionedReadout {
     /// The gathered rows, in query order.
     pub readout: MemoryReadout,
     /// Per-row write version at gather time (`len == rows`).
     pub versions: Vec<u64>,
-}
-
-/// The rows of a tagged read that were rewritten since: row positions
-/// refer to the *original query's node list*, so applying the delta is
-/// a direct row scatter — no node lookup needed.
-#[derive(Clone, Debug, Default)]
-pub struct MemoryDelta {
-    /// Positions within the tagged read's node list (ascending).
-    pub rows: Vec<u32>,
-    /// Fresh memory rows, `rows.len() × d_mem`.
-    pub mem: Matrix,
-    /// Fresh memory timestamps.
-    pub mem_ts: Vec<f32>,
-    /// Fresh mail rows, `rows.len() × mail_dim`.
-    pub mail: Matrix,
-    /// Fresh mail timestamps.
-    pub mail_ts: Vec<f32>,
-}
-
-impl MemoryDelta {
-    /// Number of rewritten rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when nothing was rewritten (the tagged read is exact).
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Repairs a speculatively gathered readout in place: overwrites
-    /// each rewritten row with its fresh contents. After this the
-    /// readout is bit-identical to a serialized read performed at the
-    /// delta's point in the write order. Returns the patched row count.
-    ///
-    /// # Panics
-    /// Panics if a row position exceeds the readout.
-    pub fn apply(&self, readout: &mut MemoryReadout) -> usize {
-        for (i, &row) in self.rows.iter().enumerate() {
-            let row = row as usize;
-            readout.mem.row_mut(row).copy_from_slice(self.mem.row(i));
-            readout.mail.row_mut(row).copy_from_slice(self.mail.row(i));
-            readout.mem_ts[row] = self.mem_ts[i];
-            readout.mail_ts[row] = self.mail_ts[i];
-        }
-        self.rows.len()
-    }
 }
 
 /// A write request: new memory and mail rows for `nodes` (the batch's
@@ -271,9 +222,8 @@ impl RowStore {
     }
 }
 
-/// Accounting from a bounded-staleness repair
-/// ([`MemoryState::repair_lagged`]): how many rows were repaired
-/// exactly vs admitted stale, the lag distribution of the admitted
+/// Accounting from a repair ([`MemoryState::repair`]): how many rows
+/// were repaired exactly vs admitted stale, the lag distribution of the admitted
 /// rows, and which readout rows they are (for trainer-side staleness
 /// compensation).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -396,7 +346,7 @@ impl MemoryState {
     }
 
     /// Resets everything to zero (epoch boundary). The reset counts as
-    /// a write of every node — a delta taken across it repairs every
+    /// a write of every node — a repair taken across it rewrites every
     /// requested row, so tagged reads stay exact across epochs.
     pub fn reset(&mut self) {
         self.mem.zero();
@@ -450,98 +400,34 @@ impl MemoryState {
             .extend(nodes.iter().map(|&n| self.node_version[n as usize]));
     }
 
-    /// Returns the rows of a tagged read that have been rewritten
-    /// since: row `r` is included iff `nodes[r]`'s current write
-    /// version exceeds `versions[r]`. Applying the result onto the
-    /// tagged readout ([`MemoryDelta::apply`]) reproduces a serialized
-    /// read of `nodes` against the current state, bit for bit.
+    /// Repairs `out` — a readout of `nodes` tagged with `versions` —
+    /// in place against the current state: row `r` is stale iff
+    /// `nodes[r]`'s write version exceeds `versions[r]`, and a stale
+    /// row is overwritten straight from the store (one copy per row,
+    /// nothing materialized).
     ///
-    /// # Panics
-    /// Panics if `versions.len() != nodes.len()`.
-    pub fn delta_since(&self, nodes: &[u32], versions: &[u64]) -> MemoryDelta {
-        assert_eq!(
-            nodes.len(),
-            versions.len(),
-            "delta_since: version vector length"
-        );
-        let mut rows = Vec::new();
-        let mut idx = Vec::new();
-        for (r, (&n, &v)) in nodes.iter().zip(versions).enumerate() {
-            if self.node_version[n as usize] > v {
-                rows.push(r as u32);
-                idx.push(n as usize);
-            }
-        }
-        let mut d = MemoryDelta {
-            rows,
-            ..MemoryDelta::default()
-        };
-        self.mem.gather_into(&idx, &mut d.mem);
-        self.mail.gather_into(&idx, &mut d.mail);
-        d.mem_ts.extend(idx.iter().map(|&i| self.mem_ts[i]));
-        d.mail_ts.extend(idx.iter().map(|&i| self.mail_ts[i]));
-        d
-    }
-
-    /// Fused [`MemoryState::delta_since`] + [`MemoryDelta::apply`]:
-    /// overwrites the rows of `out` (a readout of `nodes` tagged with
-    /// `versions`) that were rewritten since, directly from the store
-    /// — one copy per stale row, no intermediate delta matrices. This
-    /// is the hot-path form the daemon serves into the trainer's
-    /// shared response buffer; returns the repaired row count.
+    /// A stale row whose version lag (`node_version − versions[r]`) is
+    /// at most `bound` is instead **admitted** — left at its tagged
+    /// value and recorded in the outcome. `bound = 0` admits nothing
+    /// (a stale row has lag ≥ 1), so the repaired readout equals a
+    /// serialized read of `nodes` now, bit for bit: exact repair is
+    /// the k = 0 case of bounded repair. Rows tagged before the last
+    /// [`MemoryState::reset`] are never admitted regardless of lag: a
+    /// reset starts a new epoch, and pre-reset values are semantically
+    /// unrelated, not merely stale.
     ///
     /// # Panics
     /// Panics on length mismatches between `nodes`, `versions`, and
     /// `out`.
-    pub fn repair_since(&self, nodes: &[u32], versions: &[u64], out: &mut MemoryReadout) -> usize {
-        assert_eq!(
-            nodes.len(),
-            versions.len(),
-            "repair_since: version vector length"
-        );
-        assert_eq!(out.mem.rows(), nodes.len(), "repair_since: readout rows");
-        let mut patched = 0usize;
-        for (r, (&n, &v)) in nodes.iter().zip(versions).enumerate() {
-            let i = n as usize;
-            if self.node_version[i] > v {
-                self.mem.copy_row_into(i, out.mem.row_mut(r));
-                self.mail.copy_row_into(i, out.mail.row_mut(r));
-                out.mem_ts[r] = self.mem_ts[i];
-                out.mail_ts[r] = self.mail_ts[i];
-                patched += 1;
-            }
-        }
-        patched
-    }
-
-    /// Bounded-staleness variant of [`MemoryState::repair_since`]: a
-    /// stale row whose version lag (`node_version − tagged version`) is
-    /// at most `bound` is **admitted** — left at its tagged (stale)
-    /// value and recorded in the outcome — while rows beyond the bound
-    /// repair exactly as `repair_since` does. `bound = 0` admits
-    /// nothing (a stale row has lag ≥ 1), so it is `repair_since` with
-    /// extra bookkeeping — the k=0 ≡ exact bit-identity anchor.
-    ///
-    /// Rows tagged before the last [`MemoryState::reset`] are never
-    /// admitted regardless of lag: a reset starts a new epoch, and
-    /// pre-reset values are semantically unrelated, not merely stale.
-    ///
-    /// # Panics
-    /// Panics on length mismatches between `nodes`, `versions`, and
-    /// `out`.
-    pub fn repair_lagged(
+    pub fn repair(
         &self,
         nodes: &[u32],
         versions: &[u64],
         out: &mut MemoryReadout,
         bound: u64,
     ) -> RepairOutcome {
-        assert_eq!(
-            nodes.len(),
-            versions.len(),
-            "repair_lagged: version vector length"
-        );
-        assert_eq!(out.mem.rows(), nodes.len(), "repair_lagged: readout rows");
+        assert_eq!(nodes.len(), versions.len(), "repair: version vector length");
+        assert_eq!(out.mem.rows(), nodes.len(), "repair: readout rows");
         let mut outcome = RepairOutcome::default();
         for (r, (&n, &v)) in nodes.iter().zip(versions).enumerate() {
             let i = n as usize;
@@ -658,7 +544,7 @@ impl MemoryState {
     /// Reassembles a state from the exact parts a snapshot captured —
     /// the inverse of reading `mem_matrix`/`mail_matrix`/the timestamp
     /// slices/`node_versions`/`version`. Restored states answer every
-    /// read (plain, versioned, delta) bit-identically to the original,
+    /// read and repair bit-identically to the original,
     /// which is what makes checkpoint restore transparent to the
     /// daemon's speculative-read protocol. Always restores the exact
     /// f32 representation; a quantized trainer chains
@@ -806,12 +692,15 @@ mod tests {
         let tagged = s.read_versioned(&nodes);
         // Rewrite node 1 and (newly) node 5.
         s.write(&write_of(vec![1, 5], 2, 2, 9.0, 9.0));
-        let d = s.delta_since(&nodes, &tagged.versions);
-        assert_eq!(d.rows, vec![2, 3]);
-        assert_eq!(d.mem.row(0), &[9.0, 9.0]);
-        // Applying the delta reproduces a serialized read bit for bit.
         let mut patched = tagged.readout.clone();
-        assert_eq!(d.apply(&mut patched), 2);
+        let outcome = s.repair(&nodes, &tagged.versions, &mut patched, 0);
+        assert_eq!(outcome.repaired, 2);
+        // Exactly rows 2 and 3 (nodes 1 and 5) were rewritten.
+        assert_eq!(patched.mem.row(0), tagged.readout.mem.row(0));
+        assert_eq!(patched.mem.row(1), tagged.readout.mem.row(1));
+        assert_eq!(patched.mem.row(2), &[9.0, 9.0]);
+        assert_eq!(patched.mem.row(3), &[9.0, 9.0]);
+        // The repaired readout reproduces a serialized read bit for bit.
         let serialized = s.read(&nodes);
         assert_eq!(patched.mem, serialized.mem);
         assert_eq!(patched.mail, serialized.mail);
@@ -827,19 +716,16 @@ mod tests {
         let tagged = s.read_versioned(&nodes);
         s.write(&write_of(vec![1, 5, 3], 2, 3, 8.0, 8.0));
 
-        let mut via_delta = tagged.readout.clone();
-        let d = s.delta_since(&nodes, &tagged.versions);
-        let n_delta = d.apply(&mut via_delta);
-
         let mut via_repair = tagged.readout.clone();
-        let n_repair = s.repair_since(&nodes, &tagged.versions, &mut via_repair);
+        let outcome = s.repair(&nodes, &tagged.versions, &mut via_repair, 0);
 
-        assert_eq!(n_delta, n_repair);
-        assert_eq!(via_delta.mem, via_repair.mem);
-        assert_eq!(via_delta.mail, via_repair.mail);
-        assert_eq!(via_delta.mem_ts, via_repair.mem_ts);
-        assert_eq!(via_delta.mail_ts, via_repair.mail_ts);
-        assert_eq!(via_repair.mem, s.read(&nodes).mem);
+        // Nodes 5 and 1 were rewritten; node 3 is not in the read set.
+        assert_eq!(outcome.repaired, 2);
+        let serialized = s.read(&nodes);
+        assert_eq!(via_repair.mem, serialized.mem);
+        assert_eq!(via_repair.mail, serialized.mail);
+        assert_eq!(via_repair.mem_ts, serialized.mem_ts);
+        assert_eq!(via_repair.mail_ts, serialized.mail_ts);
     }
 
     #[test]
@@ -848,22 +734,27 @@ mod tests {
         s.write(&write_of(vec![0, 1, 2, 4], 2, 3, 1.0, 1.0));
         let nodes = [4u32, 0, 5, 1];
         let tagged = s.read_versioned(&nodes);
+        // Node 1 now lags by one write, never-written node 5 by two.
         s.write(&write_of(vec![1, 5, 3], 2, 3, 8.0, 8.0));
 
-        let mut via_repair = tagged.readout.clone();
-        let n_repair = s.repair_since(&nodes, &tagged.versions, &mut via_repair);
-
-        let mut via_bounded = tagged.readout.clone();
-        let outcome = s.repair_lagged(&nodes, &tagged.versions, &mut via_bounded, 0);
-
-        assert_eq!(outcome.repaired, n_repair);
+        let mut exact = tagged.readout.clone();
+        let outcome = s.repair(&nodes, &tagged.versions, &mut exact, 0);
+        assert_eq!(outcome.repaired, 2);
         assert_eq!(outcome.admitted_stale, 0);
         assert_eq!(outcome.max_lag, 0);
         assert!(outcome.admitted_rows.is_empty());
-        assert_eq!(via_bounded.mem, via_repair.mem);
-        assert_eq!(via_bounded.mail, via_repair.mail);
-        assert_eq!(via_bounded.mem_ts, via_repair.mem_ts);
-        assert_eq!(via_bounded.mail_ts, via_repair.mail_ts);
+        let serialized = s.read(&nodes);
+        assert_eq!(exact.mem, serialized.mem);
+        assert_eq!(exact.mail, serialized.mail);
+        assert_eq!(exact.mem_ts, serialized.mem_ts);
+        assert_eq!(exact.mail_ts, serialized.mail_ts);
+
+        // Bound 2 admits the same rows bound 0 repaired.
+        let mut relaxed = tagged.readout.clone();
+        let outcome = s.repair(&nodes, &tagged.versions, &mut relaxed, 2);
+        assert_eq!(outcome.repaired, 0);
+        assert_eq!(outcome.admitted_rows, vec![2, 3]);
+        assert_eq!(relaxed.mem, tagged.readout.mem);
     }
 
     #[test]
@@ -879,7 +770,7 @@ mod tests {
         s.write(&write_of(vec![3], 1, 1, 9.0, 9.0));
 
         let mut out = tagged.readout.clone();
-        let outcome = s.repair_lagged(&nodes, &tagged.versions, &mut out, 2);
+        let outcome = s.repair(&nodes, &tagged.versions, &mut out, 2);
         // Rows 1 (lag 1) and 2 (lag 2) admitted; row 3 (lag 4)
         // exceeds the bound and repairs; row 0 is fresh.
         assert_eq!(outcome.admitted_rows, vec![1, 2]);
@@ -907,7 +798,7 @@ mod tests {
         // Post-reset lag is 1 for both rows — within any bound ≥ 1 —
         // but the reset barrier forces an exact repair anyway.
         let mut out = tagged.readout.clone();
-        let outcome = s.repair_lagged(&nodes, &tagged.versions, &mut out, u64::MAX);
+        let outcome = s.repair(&nodes, &tagged.versions, &mut out, u64::MAX);
         assert_eq!(outcome.admitted_stale, 0);
         assert_eq!(outcome.repaired, 2);
         assert_eq!(out.mem.get(0, 0), 0.0);
@@ -921,11 +812,11 @@ mod tests {
         let nodes = [0u32, 1];
         let tagged = s.read_versioned(&nodes);
         s.reset();
-        let d = s.delta_since(&nodes, &tagged.versions);
-        assert_eq!(d.rows, vec![0, 1], "reset rewrites every node");
         let mut patched = tagged.readout.clone();
-        d.apply(&mut patched);
+        let outcome = s.repair(&nodes, &tagged.versions, &mut patched, 0);
+        assert_eq!(outcome.repaired, 2, "reset rewrites every node");
         assert!(patched.mem.as_slice().iter().all(|&v| v == 0.0));
+        assert_eq!(patched.mem, s.read(&nodes).mem);
     }
 
     #[test]
@@ -1008,9 +899,9 @@ mod tests {
 
     #[test]
     fn quantized_delta_and_repair_stay_consistent() {
-        // The speculative-read → delta → repair protocol must hold
-        // bit-for-bit on a quantized store too: reads present decoded
-        // values, so a repaired readout equals a serialized read.
+        // The speculative-read → repair protocol must hold bit-for-bit
+        // on a quantized store too: reads present decoded values, so a
+        // repaired readout equals a serialized read.
         let mut s = MemoryState::new_quantized(6, 2, 3);
         s.write(&MemoryWrite {
             nodes: vec![0, 1, 2, 4],
@@ -1023,17 +914,15 @@ mod tests {
         let tagged = s.read_versioned(&nodes);
         s.write(&write_of(vec![1, 5, 3], 2, 3, 8.125, 8.0));
 
-        let mut via_delta = tagged.readout.clone();
-        let d = s.delta_since(&nodes, &tagged.versions);
-        d.apply(&mut via_delta);
         let mut via_repair = tagged.readout.clone();
-        s.repair_since(&nodes, &tagged.versions, &mut via_repair);
+        let outcome = s.repair(&nodes, &tagged.versions, &mut via_repair, 0);
+        assert_eq!(outcome.repaired, 2);
 
         let serialized = s.read(&nodes);
-        assert_eq!(via_delta.mem, serialized.mem);
         assert_eq!(via_repair.mem, serialized.mem);
-        assert_eq!(via_delta.mail, serialized.mail);
         assert_eq!(via_repair.mail, serialized.mail);
+        assert_eq!(via_repair.mem_ts, serialized.mem_ts);
+        assert_eq!(via_repair.mail_ts, serialized.mail_ts);
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! equivalent to a sequential replay of the same serialized request
 //! order, for arbitrary write contents and (i, j) group shapes.
 
-use disttgl_mem::{MemoryDaemon, MemoryState, MemoryWrite, VersionedReadout};
+use disttgl_mem::{
+    MemoryClient, MemoryDaemon, MemoryReadout, MemoryState, MemoryWrite, ReadRequest,
+    VersionedReadout,
+};
 use disttgl_tensor::Matrix;
 use proptest::prelude::*;
 
@@ -34,6 +37,15 @@ fn write_of(step: &Step, d_mem: usize, mail_dim: usize) -> MemoryWrite {
     }
 }
 
+/// A full serialized read of `nodes` in this rank's read turn.
+fn full(client: &MemoryClient, nodes: &[u32]) -> MemoryReadout {
+    let mut out = MemoryReadout::default();
+    client
+        .read(ReadRequest::Full(nodes.to_vec()), &mut out)
+        .unwrap();
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -47,11 +59,11 @@ proptest! {
         let client = daemon.client(0);
         let mut reference = MemoryState::new(nodes, d_mem, mail_dim);
         for step in &script {
-            let got = client.read(&[step.node]);
+            let got = full(&client, &[step.node]);
             let want = reference.read(&[step.node]);
             prop_assert_eq!(got.mem, want.mem);
             prop_assert_eq!(got.mail_ts, want.mail_ts);
-            client.write(write_of(step, d_mem, mail_dim));
+            client.write(write_of(step, d_mem, mail_dim)).unwrap();
             reference.write(&write_of(step, d_mem, mail_dim));
         }
         let (state, stats) = daemon.join();
@@ -81,8 +93,8 @@ proptest! {
                 .collect();
             handles.push(std::thread::spawn(move || {
                 for (_, step) in mine {
-                    let _ = client.read(&[step.node]);
-                    client.write(write_of(&step, 2, 3));
+                    let _ = full(&client, &[step.node]);
+                    client.write(write_of(&step, 2, 3)).unwrap();
                 }
             }));
         }
@@ -111,17 +123,17 @@ proptest! {
         );
         let client = daemon.client(0);
         for step in &script {
-            let r = client.read(&[step.node]);
+            let r = full(&client, &[step.node]);
             let mem_v = r.mem.get(0, 0);
             let mail_v = r.mail.get(0, 0);
             prop_assert!((mail_v - 2.0 * mem_v).abs() < 1e-5,
                 "torn read: mem {} mail {}", mem_v, mail_v);
-            client.write(write_of(step, d_mem, mail_dim));
+            client.write(write_of(step, d_mem, mail_dim)).unwrap();
         }
         let _ = daemon.join();
     }
 
-    /// Speculative read + delta + patch ≡ the serialized read it
+    /// Speculative read + in-place repair ≡ the serialized read it
     /// replaces, for arbitrary write scripts and read sets — the
     /// version-vector contract, exercised through the daemon protocol
     /// (speculations pinned pre-write for a maximal staleness window).
@@ -140,11 +152,15 @@ proptest! {
         let mut tagged: Option<VersionedReadout> = None;
         for step in &script {
             match tagged.take() {
-                None => { let _ = client.read(&read_set); }
+                None => { let _ = full(&client, &read_set); }
                 Some(tagged) => {
-                    let d = client.read_delta(&read_set, &tagged.versions);
                     let mut patched = tagged.readout;
-                    d.apply(&mut patched);
+                    let req = ReadRequest::Repair {
+                        nodes: read_set.clone(),
+                        versions: tagged.versions,
+                        bound: None,
+                    };
+                    client.read(req, &mut patched).unwrap();
                     let want = reference.read(&read_set);
                     prop_assert_eq!(patched.mem, want.mem);
                     prop_assert_eq!(patched.mail, want.mail);
@@ -155,8 +171,8 @@ proptest! {
             // Speculate for the next turn, collected before this
             // turn's write posts (guaranteed stale window).
             client.speculate_read(&read_set, VersionedReadout::default());
-            tagged = Some(client.take_speculation());
-            client.write(write_of(step, d_mem, mail_dim));
+            tagged = Some(client.take_speculation().unwrap());
+            client.write(write_of(step, d_mem, mail_dim)).unwrap();
             reference.write(&write_of(step, d_mem, mail_dim));
         }
         // The final collected speculation is simply dropped unused.
@@ -176,12 +192,12 @@ proptest! {
         let client = daemon.client(0);
         for epoch in 0..2 {
             for (t, step) in script.iter().enumerate() {
-                let r = client.read(&[step.node]);
+                let r = full(&client, &[step.node]);
                 if t == 0 || script[..t].iter().all(|s| s.node != step.node) {
                     // First touch of the node this epoch must read zero.
                     prop_assert_eq!(r.mem.get(0, 0), 0.0, "epoch {} step {}", epoch, t);
                 }
-                client.write(write_of(step, d_mem, mail_dim));
+                client.write(write_of(step, d_mem, mail_dim)).unwrap();
             }
         }
         let _ = daemon.join();

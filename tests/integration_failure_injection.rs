@@ -16,7 +16,10 @@ use disttgl::core::{
 };
 use disttgl::data::generators;
 use disttgl::graph::TCsr;
-use disttgl::mem::{DaemonError, MemoryDaemon, MemoryState, MemoryWrite, VersionedReadout};
+use disttgl::mem::{
+    DaemonError, MemoryClient, MemoryDaemon, MemoryReadout, MemoryState, MemoryWrite, ReadRequest,
+    VersionedReadout,
+};
 use disttgl::tensor::{seeded_rng, Matrix};
 use std::time::{Duration, Instant};
 
@@ -43,6 +46,13 @@ fn dist_cfg(epochs: usize, seed: u64) -> TrainConfig {
     cfg
 }
 
+/// A full serialized read of `nodes` in the client's read turn.
+fn full(client: &MemoryClient, nodes: &[u32]) -> Result<MemoryReadout, DaemonError> {
+    let mut out = MemoryReadout::default();
+    client.read(ReadRequest::Full(nodes.to_vec()), &mut out)?;
+    Ok(out)
+}
+
 /// A daemon abandoned mid-schedule must not hang on drop.
 #[test]
 fn abandoned_daemon_drops_cleanly() {
@@ -61,9 +71,9 @@ fn client_read_errors_on_shutdown() {
     // Rank 1 is not the first turn owner, so its read stays pending.
     let c1 = daemon.client(1);
     let handle = std::thread::spawn(move || {
-        let first = c1.try_read(&[0]).map(|_| ());
+        let first = full(&c1, &[0]).map(|_| ());
         let t0 = Instant::now();
-        let second = c1.try_read(&[0]).map(|_| ());
+        let second = full(&c1, &[0]).map(|_| ());
         (first, second, t0.elapsed())
     });
     std::thread::sleep(Duration::from_millis(50));
@@ -86,11 +96,11 @@ fn client_deadline_expires_to_timeout() {
     let mut c1 = daemon.client(1);
     c1.set_deadline(Some(Duration::from_millis(25)));
     let t0 = Instant::now();
-    assert_eq!(c1.try_read(&[0]).unwrap_err(), DaemonError::Timeout);
+    assert_eq!(full(&c1, &[0]).unwrap_err(), DaemonError::Timeout);
     assert!(t0.elapsed() >= Duration::from_millis(25));
     // Poisoned: the retry fails without re-waiting the full deadline.
     let t1 = Instant::now();
-    assert_eq!(c1.try_read(&[0]).unwrap_err(), DaemonError::Timeout);
+    assert_eq!(full(&c1, &[0]).unwrap_err(), DaemonError::Timeout);
     assert!(t1.elapsed() < Duration::from_millis(25));
     daemon.shutdown();
 }
@@ -272,34 +282,41 @@ fn lane_killed_mid_speculation_keeps_survivors_consistent() {
     let nodes: Vec<u32> = vec![0, 2, 4];
 
     // Turn 0 (rank 0): healthy speculative cycle for its next turn.
-    let vr0 = c0.read_versioned(&nodes);
-    assert_eq!(vr0.versions, reference.read_versioned(&nodes).versions);
+    full(&c0, &nodes).unwrap();
     c0.speculate_read(&nodes, VersionedReadout::default());
-    let tagged = c0.take_speculation();
-    c0.write(write_of(vec![0], 1.0, 1.0));
+    let tagged = c0.take_speculation().unwrap();
+    assert_eq!(tagged.versions, reference.read_versioned(&nodes).versions);
+    c0.write(write_of(vec![0], 1.0, 1.0)).unwrap();
     reference.write(&write_of(vec![0], 1.0, 1.0));
 
     // Turn 1 (rank 1): completes one healthy turn, then "dies" after
     // posting a speculation it will never collect.
-    let r1 = c1.read(&nodes);
+    let r1 = full(&c1, &nodes).unwrap();
     assert_eq!(r1.mem, reference.read(&nodes).mem);
-    c1.write(write_of(vec![2], 3.0, 2.0));
+    c1.write(write_of(vec![2], 3.0, 2.0)).unwrap();
     reference.write(&write_of(vec![2], 3.0, 2.0));
     c1.speculate_read(&nodes, VersionedReadout::default());
     drop(c1); // the kill: speculation outstanding, no more turns
 
-    // Turn 2 (rank 0, the survivor): its delta against the tagged
-    // speculation must repair to exactly the serialized answer — the
-    // dead lane's orphaned speculation didn't disturb the versions.
-    let d = c0.read_delta(&nodes, &tagged.versions);
-    assert!(!d.is_empty(), "both intervening writes hit the read set");
+    // Turn 2 (rank 0, the survivor): its repair of the tagged
+    // speculation must reach exactly the serialized answer — the dead
+    // lane's orphaned speculation didn't disturb the versions.
     let mut patched = tagged.readout;
-    d.apply(&mut patched);
+    let req = ReadRequest::Repair {
+        nodes: nodes.clone(),
+        versions: tagged.versions,
+        bound: None,
+    };
+    let outcome = c0.read(req, &mut patched).unwrap();
+    assert!(
+        outcome.repaired > 0,
+        "both intervening writes hit the read set"
+    );
     let want = reference.read(&nodes);
     assert_eq!(patched.mem, want.mem);
     assert_eq!(patched.mem_ts, want.mem_ts);
     assert_eq!(patched.mail, want.mail);
-    c0.write(write_of(vec![4], 5.0, 3.0));
+    c0.write(write_of(vec![4], 5.0, 3.0)).unwrap();
     reference.write(&write_of(vec![4], 5.0, 3.0));
 
     // Turn 3 belongs to the dead rank: the daemon can only spin there.

@@ -203,7 +203,7 @@ fn write_of(step: &Step, d_mem: usize, mail_dim: usize) -> MemoryWrite {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The structural per-row guarantee of `repair_lagged`: for any
+    /// The structural per-row guarantee of `MemoryState::repair`: for any
     /// write script, tag point, and bound, every row the bounded
     /// repair *skips* is within `bound` versions of the serialized
     /// read, and every row it does not skip is bit-identical to the
@@ -227,7 +227,7 @@ proptest! {
         }
 
         let mut out = tagged.readout.clone();
-        let outcome = s.repair_lagged(&read_set, &tagged.versions, &mut out, bound);
+        let outcome = s.repair(&read_set, &tagged.versions, &mut out, bound);
         let serialized = s.read(&read_set);
 
         // Admitted rows: stale, and within `bound` versions of the
@@ -277,7 +277,7 @@ proptest! {
         s.reset();
 
         let mut out = tagged.readout.clone();
-        let outcome = s.repair_lagged(&read_set, &tagged.versions, &mut out, bound);
+        let outcome = s.repair(&read_set, &tagged.versions, &mut out, bound);
         prop_assert_eq!(outcome.admitted_stale, 0, "admitted a pre-reset row");
         let serialized = s.read(&read_set);
         prop_assert_eq!(&out.mem, &serialized.mem);
