@@ -1,47 +1,36 @@
-//! Baseline trainers for the comparison figures.
+//! The original-TGN-style baseline for the comparison figures.
 //!
-//! * [`train_tgn`] — the original-TGN-style single-GPU pipeline: the
-//!   same math as `train_single`, but with the **unoptimized data
-//!   layer** the TGL paper measured against — per-root neighbor
-//!   sampling with fresh allocations, one node-memory access per root
-//!   instead of one batched gather, and negatives re-sampled from
-//!   scratch every epoch. (TGN's published implementation loses its
-//!   time in exactly this per-element host-side work, not in the
-//!   model math.)
-//! * [`train_tgl`] — TGL-style single-machine multi-GPU training:
-//!   mini-batch parallelism only, node memory shared behind a lock
-//!   with barrier-separated read/write phases (the WAR-hazard
-//!   protocol), no memory daemon, and no overlap between mini-batch
-//!   generation and compute. This is the "2–3× speedup on 8 GPUs"
-//!   baseline of the paper's introduction.
+//! [`train_tgn`] is the single-GPU pipeline TGL measured against: the
+//! same math as `train_single`, but with the **unoptimized data
+//! layer** — per-root neighbor sampling with fresh allocations, one
+//! node-memory access per root instead of one batched gather, and
+//! negatives re-sampled from scratch every epoch. (TGN's published
+//! implementation loses its time in exactly this per-element host-side
+//! work, not in the model math.) Vanilla TGN has no static memory.
 //!
-//! Both baselines share the model/evaluation code with DistTGL, so
-//! accuracy-vs-iteration matches by construction; what differs is the
-//! system behaviour (throughput, scaling) — exactly the paper's claim
-//! decomposition.
+//! Everything around the step loop — split, boundary validation, the
+//! final "replay validation, then test" pass and the evaluation-time
+//! accounting — is the run protocol `train_single` and
+//! `train_distributed` use, so accuracy-vs-iteration matches by
+//! construction; what differs is the system behaviour (throughput) —
+//! exactly the paper's claim decomposition.
 
-use crate::batch::{
-    BatchPreparer, MemoryAccess, NegativePart, PositivePart, PreparedBatch, ReadoutView,
-};
+use crate::batch::{NegativePart, PositivePart, PreparedBatch, ReadoutView};
 use crate::config::{ModelConfig, TrainConfig};
-use crate::eval::evaluate;
-use crate::metrics::{ConvergencePoint, RunResult};
-use crate::model::TgnModel;
-use crate::static_mem::StaticMemory;
-use disttgl_cluster::CommunicatorGroup;
+use crate::metrics::RunResult;
+use crate::protocol::{EvalClock, RunSetup};
 use disttgl_data::{negative_range, Dataset, Task};
 use disttgl_graph::{batching, NeighborBlock, RecentNeighborSampler, TCsr};
 use disttgl_mem::{MemoryReadout, MemoryState};
 use disttgl_tensor::{seeded_rng, Matrix};
-use parking_lot::Mutex;
 use rand::Rng;
 use std::ops::Range;
-use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 /// Per-root (unbatched) batch preparation: identical output to
-/// [`BatchPreparer::prepare`], produced the slow way — one sampler
-/// call, one memory read, and fresh feature allocations **per root**.
+/// [`BatchPreparer::prepare`](crate::BatchPreparer::prepare), produced
+/// the slow way — one sampler call, one memory read, and fresh feature
+/// allocations **per root**.
 fn naive_prepare(
     dataset: &Dataset,
     csr: &TCsr,
@@ -196,12 +185,8 @@ fn naive_prepare(
 /// Original-TGN-style single-GPU training (see module docs).
 pub fn train_tgn(dataset: &Dataset, model_cfg: &ModelConfig, cfg: &TrainConfig) -> RunResult {
     assert_eq!(cfg.parallel.world(), 1, "train_tgn is single-GPU");
-    let csr = TCsr::build(&dataset.graph);
-    let (train_end, val_end) = dataset.graph.chronological_split(0.70, 0.15);
-    let mut rng = seeded_rng(cfg.seed);
-    let mut model = TgnModel::new(model_cfg.clone(), &mut rng);
-    let mut adam = model.optimizer(cfg.scaled_lr());
-    let static_mem: Option<StaticMemory> = None; // vanilla TGN has none
+    let setup = RunSetup::vanilla(dataset, model_cfg, cfg);
+    let (mut model, mut adam) = setup.model();
     let neg_rng_range = negative_range(&dataset.graph);
 
     let mut memory = MemoryState::new(
@@ -209,9 +194,10 @@ pub fn train_tgn(dataset: &Dataset, model_cfg: &ModelConfig, cfg: &TrainConfig) 
         model_cfg.d_mem,
         model_cfg.mail_dim(),
     );
-    let batches = batching::chronological_batches(0..train_end, cfg.local_batch);
+    let batches = batching::chronological_batches(0..setup.train_end, cfg.local_batch);
     let mut result = RunResult::default();
     let start = Instant::now();
+    let mut clock = EvalClock::start();
     let mut iteration = 0usize;
     let mut events_trained = 0u64;
 
@@ -231,7 +217,7 @@ pub fn train_tgn(dataset: &Dataset, model_cfg: &ModelConfig, cfg: &TrainConfig) 
             };
             let prepared = naive_prepare(
                 dataset,
-                &csr,
+                setup.csr.as_ref(),
                 model_cfg,
                 range.clone(),
                 &negs_opt,
@@ -241,7 +227,7 @@ pub fn train_tgn(dataset: &Dataset, model_cfg: &ModelConfig, cfg: &TrainConfig) 
 
             let t_compute = Instant::now();
             model.params.zero_grads();
-            let out = model.train_step(&prepared.pos, prepared.negs.first(), static_mem.as_ref());
+            let out = model.train_step(&prepared.pos, prepared.negs.first(), None);
             model.params.clip_grad_norm(5.0);
             adam.step(&mut model.params);
             result.timing.compute_secs += t_compute.elapsed().as_secs_f64();
@@ -250,154 +236,25 @@ pub fn train_tgn(dataset: &Dataset, model_cfg: &ModelConfig, cfg: &TrainConfig) 
             iteration += 1;
             events_trained += range.len() as u64;
         }
-        if cfg.eval_every_epoch && val_end > train_end {
-            let mut val_mem = memory.clone();
-            let res = evaluate(
-                &model,
-                model_cfg,
-                dataset,
-                &csr,
-                &mut val_mem,
-                None,
-                train_end..val_end,
-                cfg.local_batch,
-                cfg.eval_negs,
-                cfg.seed ^ epoch as u64,
-            );
-            result.convergence.push(ConvergencePoint {
-                iteration,
-                wall_secs: start.elapsed().as_secs_f64(),
-                metric: res.metric,
-            });
+        if setup.validates() {
+            let point = clock
+                .time(|| setup.boundary_eval(&model, &mut memory.clone(), epoch, iteration, start));
+            result.convergence.push(point);
         }
     }
     result.wall_secs = start.elapsed().as_secs_f64();
-    result.throughput_events_per_sec = events_trained as f64 / result.wall_secs.max(1e-9);
-    let test = evaluate(
-        &model,
-        model_cfg,
-        dataset,
-        &csr,
-        &mut memory.clone(),
-        None,
-        val_end..dataset.graph.num_events(),
-        cfg.local_batch,
-        cfg.eval_negs,
-        cfg.seed ^ 0x7e57,
-    );
-    result.test_metric = test.metric;
+    clock.attribute(&mut result.timing, &model);
+    result.throughput_events_per_sec =
+        events_trained as f64 / (result.wall_secs - clock.secs).max(1e-9);
+    result.test_metric = setup.final_test(&model, &mut memory);
     result.finalize_convergence();
-    result
-}
-
-/// TGL-style single-machine multi-GPU training: `n` trainers run
-/// mini-batch parallelism over a lock-guarded shared node memory with
-/// barrier-separated read/write phases. No daemon, no overlap.
-pub fn train_tgl(
-    dataset: &Dataset,
-    model_cfg: &ModelConfig,
-    cfg: &TrainConfig,
-    n_gpus: usize,
-) -> RunResult {
-    assert!(n_gpus >= 1);
-    let csr = Arc::new(TCsr::build(&dataset.graph));
-    let (train_end, _val_end) = dataset.graph.chronological_split(0.70, 0.15);
-    let dataset = Arc::new(dataset.clone());
-    let memory = Arc::new(Mutex::new(MemoryState::new(
-        dataset.graph.num_nodes(),
-        model_cfg.d_mem,
-        model_cfg.mail_dim(),
-    )));
-    let store = Arc::new(disttgl_data::NegativeStore::generate(
-        &dataset.graph,
-        train_end,
-        cfg.neg_groups,
-        cfg.train_negs,
-        cfg.seed ^ 0x4e45,
-    ));
-    // Global batch = n local batches (the TGL multi-GPU scheme).
-    let global_batch = cfg.local_batch * n_gpus;
-    let batches = batching::chronological_batches(0..train_end, global_batch);
-    let epochs = (cfg.epochs / n_gpus).max(1); // iterations scale 1/x
-    let comm_group = CommunicatorGroup::single_machine(n_gpus);
-    let barrier = Arc::new(Barrier::new(n_gpus));
-
-    let start = Instant::now();
-    let mut handles = Vec::new();
-    for rank in 0..n_gpus {
-        let csr = Arc::clone(&csr);
-        let dataset = Arc::clone(&dataset);
-        let memory = Arc::clone(&memory);
-        let store = Arc::clone(&store);
-        let barrier = Arc::clone(&barrier);
-        let comm = comm_group.communicator(rank);
-        let batches = batches.clone();
-        let model_cfg = model_cfg.clone();
-        let cfg = cfg.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut rng = seeded_rng(cfg.seed);
-            let mut model = TgnModel::new(model_cfg.clone(), &mut rng);
-            let mut adam = model.optimizer(cfg.scaled_lr());
-            let prep = BatchPreparer::new(&dataset, csr.as_ref(), &model_cfg);
-            let mut losses = Vec::new();
-            let mut events = 0u64;
-
-            for epoch in 0..epochs {
-                if rank == 0 {
-                    memory.lock().reset();
-                }
-                barrier.wait();
-                for range in &batches {
-                    let local = batching::split_local(range.clone(), n_gpus)[rank].clone();
-                    // Read phase: every trainer fetches under the lock
-                    // (serialized — the TGL contention point).
-                    let group = store.group_for_epoch(epoch);
-                    let negs = store.slice(group, local.clone());
-                    let prepared = {
-                        let mut guard = memory.lock();
-                        prep.prepare(local.clone(), &[negs], cfg.train_negs, &mut *guard)
-                    };
-                    // WAR hazard: all reads complete before any write.
-                    barrier.wait();
-                    model.params.zero_grads();
-                    let out = model.train_step(&prepared.pos, prepared.negs.first(), None);
-                    losses.push(out.loss);
-                    events += local.len() as u64;
-                    {
-                        let mut guard = memory.lock();
-                        MemoryAccess::write(&mut *guard, out.write);
-                    }
-                    let mut grads = model.params.flatten_grads();
-                    comm.allreduce_mean(&mut grads).expect("allreduce");
-                    model.params.unflatten_grads(&grads);
-                    model.params.clip_grad_norm(5.0);
-                    adam.step(&mut model.params);
-                    barrier.wait();
-                }
-            }
-            (losses, events)
-        }));
-    }
-    let mut total_events = 0u64;
-    let mut rank0_losses = Vec::new();
-    for (rank, h) in handles.into_iter().enumerate() {
-        let (losses, events) = h.join().expect("tgl trainer panicked");
-        total_events += events;
-        if rank == 0 {
-            rank0_losses = losses;
-        }
-    }
-    let mut result = RunResult::default();
-    result.wall_secs = start.elapsed().as_secs_f64();
-    result.loss_history = rank0_losses;
-    result.throughput_events_per_sec = total_events as f64 / result.wall_secs.max(1e-9);
-    result.absorb_comm(&comm_group.stats());
     result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchPreparer;
     use crate::config::ParallelConfig;
     use disttgl_data::generators;
 
@@ -457,14 +314,5 @@ mod tests {
         assert!(res.test_metric > 0.0);
         assert!(res.throughput_events_per_sec > 0.0);
         assert_eq!(res.convergence.len(), 2);
-    }
-
-    #[test]
-    fn tgl_baseline_scales_events_across_gpus() {
-        let d = generators::wikipedia(0.003, 63);
-        let res = train_tgl(&d, &tiny(d.edge_features.cols()), &quick(4), 2);
-        assert!(res.throughput_events_per_sec > 0.0);
-        assert!(!res.loss_history.is_empty());
-        assert!(res.comm_bytes > 0);
     }
 }

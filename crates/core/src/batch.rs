@@ -62,7 +62,7 @@
 use crate::config::ModelConfig;
 use disttgl_data::Dataset;
 use disttgl_graph::{NeighborBlock, RecentNeighborSampler, TemporalAdjacency};
-use disttgl_mem::{MemoryClient, MemoryReadout, MemoryState, MemoryWrite, ReadRequest};
+use disttgl_mem::{MemoryReadout, MemoryState, MemoryWrite};
 use disttgl_tensor::Matrix;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -92,23 +92,6 @@ impl MemoryAccess for MemoryState {
     }
     fn write(&mut self, w: MemoryWrite) {
         MemoryState::write(self, &w);
-    }
-}
-
-/// The daemon client as plain memory access: full reads in the rank's
-/// read turn. The trait has no error channel, so a daemon failure
-/// panics here; the distributed trainer uses its own adapter, which
-/// records the fault and unwinds instead.
-impl MemoryAccess for MemoryClient {
-    fn read_into(&mut self, nodes: &[u32], out: &mut MemoryReadout) {
-        if let Err(e) = MemoryClient::read(self, ReadRequest::Full(nodes.to_vec()), out) {
-            panic!("memory daemon {e} during read (rank {})", self.rank());
-        }
-    }
-    fn write(&mut self, w: MemoryWrite) {
-        if let Err(e) = MemoryClient::write(self, w) {
-            panic!("memory daemon {e} during write (rank {})", self.rank());
-        }
     }
 }
 
@@ -488,7 +471,7 @@ impl<'a> BatchPreparer<'a> {
     ///
     /// Because nothing here depends on mutable training state, this
     /// phase is safe to run arbitrarily far ahead of the training loop
-    /// (the pipelined executor runs it one batch ahead on a prefetch
+    /// (the distributed trainer runs it one batch ahead on a prefetch
     /// thread).
     pub fn prepare_static(
         &self,
@@ -608,9 +591,8 @@ impl<'a> BatchPreparer<'a> {
     }
 
     /// Completes a batch from an already-gathered full readout (rows
-    /// in `sb.all_nodes` order). Used by the overlapped phase-2 paths:
-    /// the prefetch worker's eager-write gather, or a speculative
-    /// daemon gather repaired in its serialized slot
+    /// in `sb.all_nodes` order). Used by the overlapped phase-2 path: a
+    /// speculative daemon gather repaired in its serialized slot
     /// ([`disttgl_mem::ReadRequest::Repair`]); this split then
     /// produces the final batch.
     pub fn complete(&self, sb: StaticBatch, full: MemoryReadout) -> PreparedBatch {
@@ -670,7 +652,7 @@ impl<'a> BatchPreparer<'a> {
     ///
     /// Exactly `finish(prepare_static(..))` — the sequential
     /// composition of the two pipeline phases, kept as the reference
-    /// path (and correctness oracle) for the pipelined executor.
+    /// path (and correctness oracle) for the prefetching trainer.
     pub fn prepare(
         &self,
         range: Range<usize>,

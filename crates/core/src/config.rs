@@ -443,7 +443,7 @@ pub enum StalenessCompensation {
 }
 
 /// Typed rejection of an invalid [`TrainConfig`] (surfaced by the CLI
-/// and asserted by the trainers before any thread spawns).
+/// and asserted by every trainer before it builds anything).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
     /// `staleness_bound` set while `speculative_gather` (or its
@@ -454,6 +454,12 @@ pub enum ConfigError {
     /// `staleness_bound` — there are no admitted-stale rows to
     /// compensate.
     CompensationRequiresStalenessBound,
+    /// `checkpoint_every` is `Some(0)` — a checkpoint period must be at
+    /// least one unit.
+    ZeroCheckpointPeriod,
+    /// `checkpoint_retain` is `Some(0)` — retention must keep at least
+    /// one checkpoint.
+    ZeroCheckpointRetention,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -469,6 +475,12 @@ impl std::fmt::Display for ConfigError {
                 "staleness_compensation requires staleness_bound: \
                  there are no admitted-stale rows to compensate without a bound"
             ),
+            ConfigError::ZeroCheckpointPeriod => {
+                write!(f, "checkpoint_every must be at least 1")
+            }
+            ConfigError::ZeroCheckpointRetention => {
+                write!(f, "checkpoint_retain must keep at least one checkpoint")
+            }
         }
     }
 }
@@ -519,9 +531,15 @@ impl TrainConfig {
     }
 
     /// Validates cross-field constraints, returning the typed
-    /// [`ConfigError`] the CLI surfaces. The trainers call this before
-    /// spawning anything.
+    /// [`ConfigError`] the CLI surfaces. Every trainer calls this
+    /// before building anything.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.checkpoint_every == Some(0) {
+            return Err(ConfigError::ZeroCheckpointPeriod);
+        }
+        if self.checkpoint_retain == Some(0) {
+            return Err(ConfigError::ZeroCheckpointRetention);
+        }
         if self.staleness_bound.is_some() && !(self.speculative_gather && self.pipeline_prefetch) {
             return Err(ConfigError::StalenessRequiresSpeculation);
         }
@@ -634,6 +652,20 @@ mod tests {
             Err(ConfigError::CompensationRequiresStalenessBound)
         );
         let cfg = cfg.staleness_bound(1);
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_zero_checkpoint_period_and_retention() {
+        // The public fields bypass the builders' asserts.
+        let mut cfg = TrainConfig::new(ParallelConfig::single()).checkpoint_every(1, "ckpt");
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.checkpoint_every = Some(0);
+        assert_eq!(cfg.validate(), Err(ConfigError::ZeroCheckpointPeriod));
+        cfg.checkpoint_every = Some(2);
+        cfg.checkpoint_retain = Some(0);
+        assert_eq!(cfg.validate(), Err(ConfigError::ZeroCheckpointRetention));
+        cfg.checkpoint_retain = Some(1);
         assert_eq!(cfg.validate(), Ok(()));
     }
 

@@ -47,24 +47,19 @@
 //!   MRR/F1 deltas across seeds (`BENCH_staleness.json`), never
 //!   assumed.
 
-use crate::batch::{BatchPreparer, MemoryAccess, PreparedBatch};
-use crate::checkpoint::{fingerprint, TrainCheckpoint};
+use crate::batch::{BatchPreparer, MemoryAccess, PreparedBatch, StaticBatch};
 use crate::config::{ModelConfig, TrainConfig};
-use crate::eval::evaluate;
 use crate::metrics::{AbortCause, AbortReport, ConvergencePoint, RunResult, TimingBreakdown};
-use crate::model::TgnModel;
-use crate::pipeline::{BatchPrefetcher, PrefetchRequest, PrefetchedBatch};
-use crate::recover::CheckpointStore;
+use crate::pipeline::{BatchPrefetcher, PrefetchRequest};
+use crate::protocol::{host_cores, EvalClock, RunSetup};
 use crate::sched::{GroupSchedule, StepPlan};
-use crate::static_mem::StaticMemory;
-use disttgl_cluster::{ClusterSpec, CommunicatorGroup, NetworkModel};
-use disttgl_data::{Dataset, NegativeStore, Task};
-use disttgl_graph::TCsr;
+use disttgl_cluster::{ClusterSpec, Communicator, CommunicatorGroup, NetworkModel};
+use disttgl_data::Dataset;
 use disttgl_mem::{
-    DaemonError, DaemonOptions, MemoryClient, MemoryDaemon, MemoryReadout, MemoryWrite,
-    ReadRequest, VersionedReadout,
+    DaemonError, DaemonOptions, MemoryClient, MemoryDaemon, MemoryReadout, MemoryState,
+    MemoryWrite, ReadRequest, VersionedReadout,
 };
-use disttgl_tensor::{seeded_rng, Matrix};
+use disttgl_tensor::Matrix;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -103,6 +98,19 @@ impl MemoryAccess for TimedAccess<'_> {
     }
 }
 
+/// Aborts the collective if its lane unwinds, so peers blocked in an
+/// all-reduce fail instead of waiting forever for the dead rank (the
+/// scoped trainer threads are joined only once every lane returns).
+struct AbortOnUnwind<'a>(&'a Communicator);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.abort();
+        }
+    }
+}
+
 /// The abort cause a failed daemon wait records.
 fn daemon_abort_cause(e: DaemonError) -> AbortCause {
     match e {
@@ -131,9 +139,11 @@ struct TrainerReturn {
     timing: TimingBreakdown,
     loss_history: Vec<f32>,
     convergence: Vec<ConvergencePoint>,
+    /// Rank 0's final test metric (0 when the run aborted).
+    test_metric: f64,
     grad_sq_dev_sum: f64,
     grad_probes: u64,
-    /// Rank 0's time spent evaluating (excluded from throughput).
+    /// Time spent evaluating (rank 0's is excluded from throughput).
     eval_secs: f64,
     /// The trainer unwound early (injected crash, daemon fault, or a
     /// peer's abort observed through the communicator).
@@ -166,12 +176,6 @@ pub fn train_distributed(
     );
     let (i, j, k) = (parallel.i, parallel.j, parallel.k);
     let world = parallel.world();
-    cfg.validate()
-        .unwrap_or_else(|e| panic!("invalid TrainConfig: {e}"));
-
-    let csr = Arc::new(TCsr::build(&dataset.graph));
-    let (train_end, val_end) = dataset.graph.chronological_split(0.70, 0.15);
-    assert!(train_end > 0, "empty training split");
 
     // Checkpoint/resume is defined at sweep boundaries, where no
     // epoch-parallel sub-group holds an in-flight batch; that requires
@@ -184,143 +188,96 @@ pub fn train_distributed(
              sub-groups hold un-capturable in-flight batches at every boundary"
         );
     }
-    let resume: Option<Arc<TrainCheckpoint>> = cfg.resume_from.as_ref().map(|path| {
-        let ckpt = TrainCheckpoint::load(std::path::Path::new(path))
-            .unwrap_or_else(|e| panic!("resume from {path}: {e}"));
-        ckpt.check_fingerprint(model_cfg, cfg)
-            .unwrap_or_else(|e| panic!("resume from {path}: {e}"));
+    let setup = RunSetup::new(dataset, model_cfg, cfg);
+    assert!(setup.train_end > 0, "empty training split");
+    if let Some(c) = &setup.resume {
         assert_eq!(
-            ckpt.memories.len(),
+            c.memories.len(),
             k,
             "checkpoint carries {} memory replicas for a k = {} run",
-            ckpt.memories.len(),
+            c.memories.len(),
             k
         );
-        Arc::new(ckpt)
-    });
-
-    // Static memory pre-training happens once, before the timed run
-    // (the paper pre-trains separately; <30 s on its datasets). A
-    // resumed run restores the table instead.
-    let static_mem = Arc::new(if model_cfg.static_memory {
-        Some(match resume.as_ref().and_then(|c| c.static_table.clone()) {
-            Some(t) => StaticMemory::from_table(t),
-            None => {
-                StaticMemory::pretrain(dataset, model_cfg.d_mem, train_end, 10, cfg.seed ^ 0x5747)
-            }
-        })
-    } else {
-        None
-    });
-
-    let store = Arc::new(match dataset.task {
-        Task::LinkPrediction => Some(NegativeStore::generate(
-            &dataset.graph,
-            train_end,
-            cfg.neg_groups,
-            cfg.train_negs,
-            cfg.seed ^ 0x4e45,
-        )),
-        Task::EdgeClassification => None,
-    });
+    }
 
     let sweeps = cfg.sweeps();
     let global_batch = cfg.local_batch * i;
     // One schedule per group (clones are cheap; built per thread too).
     let schedules: Vec<GroupSchedule> = (0..k)
-        .map(|g| GroupSchedule::new(0..train_end, global_batch, &parallel, g, sweeps))
+        .map(|g| GroupSchedule::new(0..setup.train_end, global_batch, &parallel, g, sweeps))
         .collect();
 
     // Memory daemons: one per group, with wrap-aligned epoch
     // schedules. A resumed run restores each replica's captured state
     // and fast-forwards its turn counter to the checkpoint boundary; a
     // fault plan may schedule a mid-epoch daemon death.
-    let daemons: Arc<Vec<MemoryDaemon>> = Arc::new(
-        schedules
-            .iter()
-            .enumerate()
-            .map(|(g, s)| {
-                let (state, start_turn) = match resume.as_ref() {
-                    // Checkpoints decode to f32 (see `core::checkpoint`);
-                    // re-quantizing bf16-grid contents is lossless, so a
-                    // resumed quantized run continues bit-identically.
-                    Some(c) => {
-                        let mut state = c.memories[g].clone();
-                        if model_cfg.quantized_memory {
-                            state = state.into_quantized();
-                        }
-                        (state, c.start_turns[g] as usize)
+    let daemons: Vec<MemoryDaemon> = schedules
+        .iter()
+        .enumerate()
+        .map(|(g, s)| {
+            let (state, start_turn) = match &setup.resume {
+                // Checkpoints decode to f32 (see `core::checkpoint`);
+                // re-quantizing bf16-grid contents is lossless, so a
+                // resumed quantized run continues bit-identically.
+                Some(c) => {
+                    let mut state = c.memories[g].clone();
+                    if model_cfg.quantized_memory {
+                        state = state.into_quantized();
                     }
-                    None => (model_cfg.new_memory(dataset.graph.num_nodes()), 0),
-                };
-                MemoryDaemon::spawn_with(
-                    state,
-                    i,
-                    j,
-                    s.daemon_epoch_lengths(),
-                    DaemonOptions {
-                        start_turn,
-                        fail_after_turns: cfg.faults.as_ref().and_then(|f| f.daemon_fail_after(g)),
-                    },
-                )
-            })
-            .collect(),
-    );
+                    (state, c.start_turns[g] as usize)
+                }
+                None => (model_cfg.new_memory(dataset.graph.num_nodes()), 0),
+            };
+            MemoryDaemon::spawn_with(
+                state,
+                i,
+                j,
+                s.daemon_epoch_lengths(),
+                DaemonOptions {
+                    start_turn,
+                    fail_after_turns: cfg.faults.as_ref().and_then(|f| f.daemon_fail_after(g)),
+                },
+            )
+        })
+        .collect();
 
     let comm_group = CommunicatorGroup::new(spec, NetworkModel::t4_testbed());
-    let dataset_arc: Arc<Dataset> = Arc::new(dataset.clone());
+    // The prefetch workers outlive any borrow, so they share an owned copy.
+    let prefetch_dataset: Arc<Dataset> = Arc::new(dataset.clone());
 
     // Every lane computes at once, so each gets an equal share of the
     // cores as its intra-op budget (1 whenever lanes ≥ cores).
-    let lane_budget = (crate::single::host_cores() / world).max(1);
+    let lane_budget = (host_cores() / world).max(1);
     let start = Instant::now();
-    let mut handles = Vec::with_capacity(world);
-    for rank in 0..world {
-        let (group, jg, ig) = parallel.decompose(rank);
-        let comm = comm_group.communicator(rank);
-        let daemons = Arc::clone(&daemons);
-        let dataset = Arc::clone(&dataset_arc);
-        let csr = Arc::clone(&csr);
-        let static_mem = Arc::clone(&static_mem);
-        let store = Arc::clone(&store);
-        let schedule = schedules[group].clone();
-        let model_cfg = model_cfg.clone();
-        let cfg = cfg.clone();
-        let resume = resume.clone();
-
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("disttgl-trainer-{rank}"))
-                .spawn(move || {
-                    let ctx = TrainerCtx {
-                        rank,
-                        group,
-                        jg,
-                        ig,
-                        comm,
-                        daemons,
-                        dataset,
-                        csr,
-                        static_mem,
-                        store,
-                        schedule,
-                        model_cfg,
-                        cfg,
-                        train_end,
-                        val_end,
-                        start,
-                        resume,
-                    };
-                    disttgl_tensor::par::with_budget(lane_budget, || trainer_main(ctx))
-                })
-                .expect("spawn trainer"),
-        );
-    }
-
-    let returns: Vec<TrainerReturn> = handles
-        .into_iter()
-        .map(|h| h.join().expect("trainer thread panicked"))
-        .collect();
+    let returns: Vec<TrainerReturn> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..world)
+            .map(|rank| {
+                let (group, jg, ig) = parallel.decompose(rank);
+                let ctx = TrainerCtx {
+                    rank,
+                    group,
+                    jg,
+                    ig,
+                    comm: comm_group.communicator(rank),
+                    daemons: &daemons,
+                    setup: &setup,
+                    prefetch_dataset: Arc::clone(&prefetch_dataset),
+                    schedule: schedules[group].clone(),
+                    start,
+                };
+                std::thread::Builder::new()
+                    .name(format!("disttgl-trainer-{rank}"))
+                    .spawn_scoped(s, move || {
+                        disttgl_tensor::par::with_budget(lane_budget, || trainer_main(ctx))
+                    })
+                    .expect("spawn trainer")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("trainer thread panicked"))
+            .collect()
+    });
     let wall = start.elapsed().as_secs_f64();
 
     let (mut result, eval_secs) = assemble_results(returns, wall);
@@ -330,7 +287,7 @@ pub fn train_distributed(
     // for turns that will never come — release them before joining so
     // teardown cannot hang.
     if result.aborted {
-        for d in daemons.iter() {
+        for d in &daemons {
             d.shutdown();
         }
     }
@@ -346,41 +303,25 @@ pub fn train_distributed(
 
     // Tear down daemons (their schedules are complete), folding their
     // final counters and per-replica memory digests into the record.
-    match Arc::try_unwrap(daemons) {
-        Ok(daemons) => {
-            for d in daemons {
-                let (state, stats) = d.join();
-                result.absorb_daemon(&stats);
-                result.memory_checksums.push(state.checksum());
-            }
-        }
-        Err(daemons) => {
-            for d in daemons.iter() {
-                result.absorb_daemon(&d.stats());
-            }
-        }
+    for d in daemons {
+        let (state, stats) = d.join();
+        result.absorb_daemon(&stats);
+        result.memory_checksums.push(state.checksum());
     }
     result
 }
 
-struct TrainerCtx {
+struct TrainerCtx<'a> {
     rank: usize,
     group: usize,
     jg: usize,
     ig: usize,
-    comm: disttgl_cluster::Communicator,
-    daemons: Arc<Vec<MemoryDaemon>>,
-    dataset: Arc<Dataset>,
-    csr: Arc<TCsr>,
-    static_mem: Arc<Option<StaticMemory>>,
-    store: Arc<Option<NegativeStore>>,
+    comm: Communicator,
+    daemons: &'a [MemoryDaemon],
+    setup: &'a RunSetup<'a>,
+    prefetch_dataset: Arc<Dataset>,
     schedule: GroupSchedule,
-    model_cfg: ModelConfig,
-    cfg: TrainConfig,
-    train_end: usize,
-    val_end: usize,
     start: Instant,
-    resume: Option<Arc<TrainCheckpoint>>,
 }
 
 fn empty_write(model_cfg: &ModelConfig) -> MemoryWrite {
@@ -393,7 +334,7 @@ fn empty_write(model_cfg: &ModelConfig) -> MemoryWrite {
     }
 }
 
-fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
+fn trainer_main(ctx: TrainerCtx<'_>) -> TrainerReturn {
     let TrainerCtx {
         rank,
         group,
@@ -401,18 +342,14 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
         ig,
         comm,
         daemons,
-        dataset,
-        csr,
-        static_mem,
-        store,
+        setup,
+        prefetch_dataset,
         schedule,
-        model_cfg,
-        cfg,
-        train_end,
-        val_end,
         start,
-        resume,
     } = ctx;
+    let _abort_on_unwind = AbortOnUnwind(&comm);
+    let (model_cfg, cfg) = (setup.model_cfg, setup.cfg);
+    let (train_end, static_mem) = (setup.train_end, setup.static_mem.as_ref());
     let parallel = cfg.parallel;
     let (i, j) = (parallel.i, parallel.j);
     let mut client = daemons[group].client(jg * i + ig);
@@ -429,23 +366,20 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
     let my_crash = faults.lane_crash_at(rank);
     let spec_delay = faults.speculation_delay(rank).unwrap_or(0);
 
-    let prep = BatchPreparer::new(&dataset, csr.as_ref(), &model_cfg);
+    let prep = BatchPreparer::new(setup.dataset, setup.csr.as_ref(), model_cfg);
 
-    // Identical seeded init on every replica (equivalent to broadcast).
-    let mut rng = seeded_rng(cfg.seed);
-    let mut model = TgnModel::new(model_cfg.clone(), &mut rng);
-    let mut adam = model.optimizer(cfg.scaled_lr());
+    // Identical seeded init — or identical restored state — on every
+    // replica (equivalent to broadcast).
+    let (mut model, mut adam) = setup.model();
 
-    // Kernel-share attribution for this lane: thread-local cumulative
-    // timers, differenced at the end of the schedule (mid-run eval
-    // kernel time is subtracted so the shares describe training
-    // compute, matching the sequential trainer).
-    let kernels0 = disttgl_tensor::timing::snapshot();
-    let mut eval_kernels = disttgl_tensor::timing::KernelTimings::default();
+    // Kernel-share attribution for this lane, with mid-run eval kernel
+    // time subtracted so the shares describe training compute.
+    let mut clock = EvalClock::start();
     let mut ret = TrainerReturn {
         timing: TimingBreakdown::default(),
         loss_history: Vec::new(),
         convergence: Vec::new(),
+        test_metric: 0.0,
         grad_sq_dev_sum: 0.0,
         grad_probes: 0,
         eval_secs: 0.0,
@@ -457,20 +391,15 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
     let total_steps = schedule.total_steps();
     let ownership_steps = cfg.sweeps() * b;
     let mut cached: Option<PreparedBatch> = None;
-    let mut sweep_done = 0usize;
 
-    // Checkpoint resume: every rank restores the identical weights and
-    // optimizer moments (equivalent to a broadcast of the restored
-    // replica); rank 0 additionally re-seeds its histories so the
-    // assembled RunResult matches an uninterrupted run.
-    let start_step = match resume.as_deref() {
+    // Checkpoint resume: rank 0 re-seeds its histories so the assembled
+    // RunResult matches an uninterrupted run.
+    let start_step = match &setup.resume {
         Some(c) => {
             assert!(
                 c.units_done * b < total_steps,
                 "checkpoint already covers the full schedule"
             );
-            model.params.unflatten_weights(&c.weights);
-            adam.load_state(c.adam_t, &c.adam_state);
             if rank == 0 {
                 ret.loss_history = c.loss_history.clone();
                 ret.convergence = c.convergence.clone();
@@ -479,7 +408,6 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
         }
         None => 0,
     };
-
     // Pipelined prefetch: phase 1 (sampling, negative slicing, feature
     // gathers) of this lane's *next* non-empty Acquire runs on a
     // worker thread while the current step computes. With
@@ -502,13 +430,7 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
         .collect();
     let request_for = |idx: usize| {
         let (_, local, epoch_equiv) = acquire_plan[idx].clone();
-        PrefetchRequest::for_epoch(
-            store.as_ref().as_ref(),
-            epoch_equiv,
-            j,
-            local,
-            cfg.train_negs,
-        )
+        PrefetchRequest::for_epoch(setup.store.as_ref(), epoch_equiv, j, local, cfg.train_negs)
     };
     // First plan entry at or after the resume point.
     let resume_idx = acquire_plan
@@ -519,7 +441,7 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
     let mut next_request = resume_idx; // next entry whose phase 1 is unrequested
     let mut prefetcher = if cfg.pipeline_prefetch && resume_idx < acquire_plan.len() {
         let mut p =
-            BatchPrefetcher::spawn(Arc::clone(&dataset), Arc::clone(&csr), model_cfg.clone());
+            BatchPrefetcher::spawn(prefetch_dataset, Arc::clone(&setup.csr), model_cfg.clone());
         p.request(request_for(resume_idx));
         next_request = resume_idx + 1;
         Some(p)
@@ -529,21 +451,13 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
     let use_speculation = cfg.speculative_gather && prefetcher.is_some();
     // Phase-1 result for acquire_plan[next_acquire], grabbed early
     // (continue/idle steps) so its speculative gather is in flight.
-    let mut staged: Option<PrefetchedBatch> = None;
+    let mut staged: Option<StaticBatch> = None;
     let mut spec_posted = false;
     // Scratch buffers cycled through the daemon: the retired batch's
     // gathered block becomes the next read/speculation target.
     let mut read_scratch = MemoryReadout::default();
     let mut spec_scratch = VersionedReadout::default();
 
-    // Checkpoint cadence: a distributed unit is one sweep (= j·k
-    // epoch-equivalents); a sweep boundary is a quiescent point where
-    // every daemon has served exactly `step + 1` turns. The final
-    // boundary is never checkpointed.
-    let ckpt_every = match (cfg.checkpoint_every, &cfg.checkpoint_dir) {
-        (Some(n), Some(_)) => Some(n),
-        _ => None,
-    };
     let mut aborted = false;
     let mut cause: Option<AbortCause> = None;
     let mut mem_fault: Option<DaemonError> = None;
@@ -579,7 +493,7 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
                         d_mail: model_cfg.mail_dim(),
                     };
                     let _ = timed.read(&[]);
-                    timed.write(empty_write(&model_cfg));
+                    timed.write(empty_write(model_cfg));
                     None
                 } else {
                     let prepared_opt: Option<PreparedBatch> = match &mut prefetcher {
@@ -593,15 +507,15 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
                             // read otherwise.
                             debug_assert_eq!(acquire_plan[next_acquire].0, step);
                             via_speculation = spec_posted;
-                            let resp = match staged.take() {
-                                Some(resp) => resp,
+                            let sb = match staged.take() {
+                                Some(sb) => sb,
                                 None => {
-                                    let resp = p.recv();
+                                    let sb = p.recv();
                                     if next_request < acquire_plan.len() {
                                         p.request(request_for(next_request));
                                         next_request += 1;
                                     }
-                                    resp
+                                    sb
                                 }
                             };
                             next_acquire += 1;
@@ -619,7 +533,7 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
                                 let repaired = client.take_speculation().and_then(|tagged| {
                                     let mut readout = tagged.readout;
                                     let req = ReadRequest::Repair {
-                                        nodes: resp.sb.nodes().to_vec(),
+                                        nodes: sb.nodes().to_vec(),
                                         versions: tagged.versions,
                                         bound: cfg.staleness_bound,
                                     };
@@ -637,7 +551,7 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
                                 });
                                 ret.timing.mem_wait_secs += t_mem.elapsed().as_secs_f64();
                                 match repaired {
-                                    Ok(readout) => Some(prep.complete(resp.sb, readout)),
+                                    Ok(readout) => Some(prep.complete(sb, readout)),
                                     Err(e) => {
                                         mem_fault = Some(e);
                                         None
@@ -653,7 +567,7 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
                                         d_mail: model_cfg.mail_dim(),
                                     };
                                     prep.finish_with(
-                                        resp.sb,
+                                        sb,
                                         &mut timed,
                                         std::mem::take(&mut read_scratch),
                                     )
@@ -679,7 +593,7 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
                                 };
                                 let mut neg_slices: Vec<&[u32]> = Vec::new();
                                 let storage;
-                                if let Some(store) = store.as_ref() {
+                                if let Some(store) = &setup.store {
                                     storage = (0..j)
                                         .map(|p| {
                                             let g = store.group_for_epoch(epoch_equiv + p);
@@ -701,11 +615,8 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
 
                     prepared_opt.inspect(|prepared| {
                         let t_compute = Instant::now();
-                        let out = model.train_step(
-                            &prepared.pos,
-                            prepared.negs.first(),
-                            static_mem.as_ref().as_ref(),
-                        );
+                        let out =
+                            model.train_step(&prepared.pos, prepared.negs.first(), static_mem);
                         ret.timing.compute_secs += t_compute.elapsed().as_secs_f64();
                         loss = out.loss;
                         did_work = true;
@@ -737,7 +648,7 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
                     } else {
                         Some(&prepared.negs[pass.min(prepared.negs.len() - 1)])
                     };
-                    let out = model.train_step(&prepared.pos, neg, static_mem.as_ref().as_ref());
+                    let out = model.train_step(&prepared.pos, neg, static_mem);
                     ret.timing.compute_secs += t_compute.elapsed().as_secs_f64();
                     loss = out.loss;
                     did_work = true;
@@ -769,16 +680,16 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
         // which is exactly what the fault harness asserts).
         if let Some(p) = &mut prefetcher {
             if staged.is_none() && next_acquire < acquire_plan.len() {
-                if let Some(resp) = p.try_recv() {
+                if let Some(sb) = p.try_recv() {
                     if next_request < acquire_plan.len() {
                         p.request(request_for(next_request));
                         next_request += 1;
                     }
                     if use_speculation && step >= start_step + spec_delay {
-                        client.speculate_read(resp.sb.nodes(), std::mem::take(&mut spec_scratch));
+                        client.speculate_read(sb.nodes(), std::mem::take(&mut spec_scratch));
                         spec_posted = true;
                     }
-                    staged = Some(resp);
+                    staged = Some(sb);
                 }
             }
         }
@@ -817,17 +728,14 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
         }
 
         // Sweep boundary: rank 0 evaluates from replica 0's snapshot.
-        if rank == 0
-            && cfg.eval_every_epoch
-            && val_end > train_end
-            && step < ownership_steps
-            && (step + 1) % b == 0
-        {
-            let t_eval = Instant::now();
-            let k_eval = disttgl_tensor::timing::snapshot();
+        if rank == 0 && setup.validates() && step < ownership_steps && (step + 1) % b == 0 {
             let sweep_idx = (step + 1) / b - 1;
-            let mut snap = match daemons[0].epoch_snapshot(sweep_idx as u64) {
-                Ok(snap) => snap,
+            let point = clock.time(|| {
+                let mut snap = daemons[0].epoch_snapshot(sweep_idx as u64)?;
+                Ok(setup.boundary_eval(&model, &mut snap, sweep_idx, step + 1, start))
+            });
+            match point {
+                Ok(point) => ret.convergence.push(point),
                 Err(e) => {
                     // Replica 0's daemon died before finishing the
                     // sweep (fault injection): unwind everyone.
@@ -836,109 +744,67 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
                     aborted = true;
                     break;
                 }
-            };
-            let eval_end = val_end.min(train_end.saturating_add(cfg.eval_max_events));
-            let res = evaluate(
-                &model,
-                &model_cfg,
-                &dataset,
-                csr.as_ref(),
-                &mut snap,
-                static_mem.as_ref().as_ref(),
-                train_end..eval_end,
-                cfg.local_batch,
-                cfg.eval_negs,
-                cfg.seed ^ sweep_idx as u64,
-            );
-            ret.eval_secs += t_eval.elapsed().as_secs_f64();
-            eval_kernels = eval_kernels + (disttgl_tensor::timing::snapshot() - k_eval);
-            ret.convergence.push(ConvergencePoint {
-                iteration: step + 1,
-                wall_secs: start.elapsed().as_secs_f64(),
-                metric: res.metric,
-            });
-            sweep_done = sweep_idx + 1;
+            }
         }
 
-        // Sweep-boundary checkpoint: rank 0 captures every replica's
-        // exact state at turn `step + 1` and persists it together with
-        // the (replica-identical) weights and optimizer moments. The
-        // trailing zero-length all-reduce is a quiescence barrier — no
-        // rank may post a turn-`step + 1` memory request until every
-        // capture is collected, which is exactly the precondition of
-        // `MemoryDaemon::capture_at`. Saving is pure observation: the
-        // training trajectory is bit-identical with or without it.
+        // Sweep-boundary checkpoint. A distributed unit is one sweep
+        // (= j·k epoch-equivalents); a sweep boundary is a quiescent
+        // point where every daemon has served exactly `step + 1` turns.
+        // Rank 0 captures every replica's exact state at that turn and
+        // persists it together with the (replica-identical) weights and
+        // optimizer moments. The trailing zero-length all-reduce is a
+        // quiescence barrier — no rank may post a turn-`step + 1` memory
+        // request until every capture is collected, which is exactly the
+        // precondition of `MemoryDaemon::capture_at`.
         let units = (step + 1) / b;
-        if ckpt_every
-            .is_some_and(|n| (step + 1) % b == 0 && step + 1 < ownership_steps && units % n == 0)
-        {
+        if (step + 1) % b == 0 && setup.checkpoint_due(units, cfg.sweeps()) {
             if rank == 0 {
-                let turn = (step + 1) as u64;
-                for d in daemons.iter() {
-                    d.capture_at(turn);
+                for d in daemons {
+                    d.capture_at((step + 1) as u64);
                 }
                 let capture_deadline = Some(deadline.unwrap_or(std::time::Duration::from_secs(30)));
-                let mut memories = Vec::with_capacity(daemons.len());
-                let mut capture_err: Option<DaemonError> = None;
-                for d in daemons.iter() {
-                    match d.take_capture(capture_deadline) {
-                        Ok(m) => memories.push(m),
-                        Err(e) => {
-                            capture_err = Some(e);
-                            break;
+                let memories: Result<Vec<MemoryState>, DaemonError> = daemons
+                    .iter()
+                    .map(|d| d.take_capture(capture_deadline))
+                    .collect();
+                match memories {
+                    Ok(memories) => {
+                        let ckpt = setup.checkpoint(
+                            units,
+                            step + 1,
+                            (units * train_end * j * parallel.k) as u64,
+                            &model,
+                            &adam,
+                            &ret.loss_history,
+                            &ret.convergence,
+                            memories,
+                        );
+                        if faults.torn_checkpoint_at(units) {
+                            // Injected torn write: persist a truncated
+                            // prefix of the frame at the *final* path
+                            // (modeling a crash mid-write without the
+                            // atomic-rename shield) and bring the run
+                            // down. Recovery must see the bad digest and
+                            // fall back to the previous good checkpoint.
+                            let bytes = ckpt.to_framed_bytes();
+                            let path = setup.checkpoint_store().train_path(units);
+                            std::fs::write(&path, &bytes[..bytes.len() / 2])
+                                .unwrap_or_else(|e| panic!("torn write {}: {e}", path.display()));
+                            comm.abort();
+                            aborted = true;
+                            cause = Some(AbortCause::TornCheckpoint);
+                        } else {
+                            setup.save_checkpoint(&ckpt);
                         }
                     }
-                }
-                if memories.len() == daemons.len() {
-                    let dir = cfg
-                        .checkpoint_dir
-                        .as_deref()
-                        .expect("gated on checkpoint_dir");
-                    let ckpt_store = CheckpointStore::open(dir, cfg.checkpoint_retain)
-                        .unwrap_or_else(|e| panic!("checkpoint dir {dir}: {e}"));
-                    let start_turns = vec![turn; memories.len()];
-                    let ckpt = TrainCheckpoint {
-                        fingerprint: fingerprint(&model_cfg, &cfg),
-                        units_done: units,
-                        iteration: step + 1,
-                        events_trained: (units * train_end * j * parallel.k) as u64,
-                        weights: model.params.flatten_weights(),
-                        adam_t: adam.steps(),
-                        adam_state: adam.flatten_state(),
-                        loss_history: ret.loss_history.clone(),
-                        convergence: ret.convergence.clone(),
-                        static_table: static_mem.as_ref().as_ref().map(|s| s.table().clone()),
-                        memories,
-                        start_turns,
-                    };
-                    if faults.torn_checkpoint_at(units) {
-                        // Injected torn write: persist a truncated
-                        // prefix of the frame at the *final* path
-                        // (modeling a crash mid-write without the
-                        // atomic-rename shield) and bring the run
-                        // down. Recovery must see the bad digest and
-                        // fall back to the previous good checkpoint.
-                        let bytes = ckpt.to_framed_bytes();
-                        let path = ckpt_store.train_path(units);
-                        std::fs::write(&path, &bytes[..bytes.len() / 2])
-                            .unwrap_or_else(|e| panic!("torn write {}: {e}", path.display()));
+                    Err(e) => {
+                        // A capture resolved as shutdown/timeout — a
+                        // replica died at the boundary. Abort rather
+                        // than persist a partial checkpoint.
+                        cause = Some(daemon_abort_cause(e));
                         comm.abort();
                         aborted = true;
-                        cause = Some(AbortCause::TornCheckpoint);
-                    } else {
-                        ckpt_store
-                            .save_train(&ckpt)
-                            .unwrap_or_else(|e| panic!("checkpoint save unit {units}: {e}"));
                     }
-                } else {
-                    // A capture resolved as shutdown/timeout — a
-                    // replica died at the boundary. Abort rather than
-                    // persist a partial checkpoint.
-                    cause = Some(daemon_abort_cause(
-                        capture_err.unwrap_or(DaemonError::Shutdown),
-                    ));
-                    comm.abort();
-                    aborted = true;
                 }
             }
             if aborted {
@@ -951,67 +817,27 @@ fn trainer_main(ctx: TrainerCtx) -> TrainerReturn {
             }
         }
     }
-    let _ = sweep_done;
-    // Per-layer share of the embed stack inside compute_secs.
-    ret.timing.absorb_layer_secs(&model.layer_embed_secs(), 1.0);
-    ret.timing.absorb_kernels(
-        &(disttgl_tensor::timing::snapshot() - kernels0 - eval_kernels),
-        1.0,
-    );
+    clock.attribute(&mut ret.timing, &model);
 
-    // Rank 0 computes the final test metric: replay val then test from
-    // the final snapshot of replica 0. An aborted run has no final
-    // state to score — its partial histories stand as-is.
+    // Rank 0 computes the final test metric from the final snapshot of
+    // replica 0. An aborted run has no final state to score — its
+    // partial histories stand as-is.
     if rank == 0 && !aborted {
-        let t_eval = Instant::now();
-        let final_sweep = cfg.sweeps() as u64 - 1;
-        match daemons[0].epoch_snapshot(final_sweep) {
+        let test = clock.time(|| {
+            let mut mem = daemons[0].epoch_snapshot(cfg.sweeps() as u64 - 1)?;
+            Ok(setup.final_test(&model, &mut mem))
+        });
+        match test {
+            Ok(metric) => ret.test_metric = metric,
             Err(e) => {
                 // Replica 0's daemon died after the last collective:
                 // the run is aborted and has no test metric.
                 aborted = true;
                 cause = Some(daemon_abort_cause(e));
             }
-            Ok(mut mem) => {
-                if val_end > train_end {
-                    crate::eval::replay_memory(
-                        &model,
-                        &model_cfg,
-                        &dataset,
-                        csr.as_ref(),
-                        &mut mem,
-                        static_mem.as_ref().as_ref(),
-                        train_end..val_end,
-                        cfg.local_batch,
-                    );
-                }
-                let test_end = dataset
-                    .graph
-                    .num_events()
-                    .min(val_end.saturating_add(cfg.eval_max_events));
-                let test = evaluate(
-                    &model,
-                    &model_cfg,
-                    &dataset,
-                    csr.as_ref(),
-                    &mut mem,
-                    static_mem.as_ref().as_ref(),
-                    val_end..test_end,
-                    cfg.local_batch,
-                    cfg.eval_negs,
-                    cfg.seed ^ 0x7e57,
-                );
-                ret.eval_secs += t_eval.elapsed().as_secs_f64();
-                // Smuggle the test metric through a sentinel
-                // convergence point consumed by `assemble_results`.
-                ret.convergence.push(ConvergencePoint {
-                    iteration: usize::MAX,
-                    wall_secs: start.elapsed().as_secs_f64(),
-                    metric: test.metric,
-                });
-            }
         }
     }
+    ret.eval_secs = clock.secs;
     ret.aborted = aborted;
     // Every aborted rank reports a cause; a rank that unwound without
     // observing its own failure is a bystander.
@@ -1055,14 +881,8 @@ fn assemble_results(returns: Vec<TrainerReturn>, wall: f64) -> (RunResult, f64) 
 
     let rank0 = returns.into_iter().next().expect("at least one trainer");
     result.loss_history = rank0.loss_history;
-    let mut convergence = rank0.convergence;
-    if let Some(last) = convergence.last() {
-        if last.iteration == usize::MAX {
-            let sentinel = convergence.pop().expect("sentinel");
-            result.test_metric = sentinel.metric;
-        }
-    }
-    result.convergence = convergence;
+    result.convergence = rank0.convergence;
+    result.test_metric = rank0.test_metric;
     result.wall_secs = wall;
     (result, rank0.eval_secs)
 }
@@ -1094,16 +914,39 @@ mod tests {
         mc
     }
 
+    /// The shared run protocol: `train_distributed` at 1×1×1 reproduces
+    /// `train_single` bit for bit — losses, every boundary validation
+    /// point and the test metric — at one and two layers, on link
+    /// prediction and on edge classification.
     #[test]
     fn one_by_one_by_one_matches_single_reference_shape() {
-        let d = generators::wikipedia(0.004, 51);
-        let mc = tiny_model(d.edge_features.cols());
+        let wiki = generators::wikipedia(0.004, 51);
+        let mooc = generators::mooc(0.0015, 51);
+        let one = tiny_model(wiki.edge_features.cols());
+        let cases = [
+            ("wikipedia, 1 layer", &wiki, one.clone()),
+            ("wikipedia, 2 layers", &wiki, one.with_fanouts(vec![5, 3])),
+            ("mooc", &mooc, tiny_model(0)),
+        ];
         let cfg = quick_cfg(ParallelConfig::single(), 2);
-        let res = train_distributed(&d, &mc, &cfg, ClusterSpec::new(1, 1));
-        assert_eq!(res.convergence.len(), 2);
-        assert!(res.test_metric > 0.0);
-        assert!(res.loss_history.iter().all(|l| l.is_finite()));
-        assert!(res.daemon_rows_written > 0);
+        for (label, d, mc) in cases {
+            let res = train_distributed(d, &mc, &cfg, ClusterSpec::new(1, 1));
+            assert_eq!(res.convergence.len(), 2, "{label}");
+            assert!(res.test_metric > 0.0, "{label}");
+            assert!(res.loss_history.iter().all(|l| l.is_finite()), "{label}");
+            assert!(res.daemon_rows_written > 0, "{label}");
+
+            let single = crate::train_single(d, &mc, &cfg);
+            assert_eq!(res.loss_history, single.loss_history, "{label}: losses");
+            let points = |r: &RunResult| -> Vec<(usize, f64)> {
+                r.convergence
+                    .iter()
+                    .map(|p| (p.iteration, p.metric))
+                    .collect()
+            };
+            assert_eq!(points(&res), points(&single), "{label}: validation");
+            assert_eq!(res.test_metric, single.test_metric, "{label}: test");
+        }
     }
 
     #[test]
@@ -1150,6 +993,27 @@ mod tests {
         assert!(res.test_metric > 0.0);
         assert!(res.grad_variance >= 0.0);
         assert!(res.throughput_events_per_sec > 0.0);
+    }
+
+    /// A checkpoint directory that cannot be created panics rank 0 at
+    /// its first save. Its peer, parked in the quiescence all-reduce,
+    /// must unwind too, so the run fails instead of hanging.
+    #[test]
+    fn failed_checkpoint_save_fails_the_run_instead_of_hanging() {
+        let d = generators::wikipedia(0.004, 57);
+        let mc = tiny_model(d.edge_features.cols());
+        let file = std::env::temp_dir().join(format!("disttgl-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").expect("temp file");
+        let dir = file.join("ckpt");
+        let cfg = quick_cfg(ParallelConfig::new(1, 1, 2), 4)
+            .checkpoint_every(1, dir.to_str().expect("utf-8 temp path"));
+        let run =
+            std::panic::catch_unwind(|| train_distributed(&d, &mc, &cfg, ClusterSpec::new(1, 2)));
+        std::fs::remove_file(&file).expect("remove temp file");
+        assert!(
+            run.is_err(),
+            "an unwritable checkpoint dir must fail the run"
+        );
     }
 
     #[test]

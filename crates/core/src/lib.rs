@@ -13,11 +13,9 @@
 //!   with pipelined batch prefetch on by default
 //!   (`TrainConfig::pipeline_prefetch`);
 //! * [`train_single`] — the sequential reference trainer (exact
-//!   single-GPU semantics, also the correctness oracle for schedules
-//!   and for the pipelined executor);
-//! * [`train_single_pipelined`] — the same semantics with mini-batch
-//!   preparation overlapped behind compute;
-//! * [`baseline`] — TGN- and TGL-style baselines for Figures 1 and 12;
+//!   single-GPU semantics, also the correctness oracle for schedules);
+//!   [`train_single_traced`] also returns its final training memory;
+//! * [`baseline`] — the TGN-style baseline for Figures 1 and 12;
 //! * [`evaluate`] — MRR / F1-micro evaluation;
 //! * [`InferenceEngine`] — the task-agnostic, gradient-free forward
 //!   walk (memory gather → folded GRU → L-layer attention → decoder)
@@ -27,31 +25,30 @@
 //!   memory and answers micro-batched link-score/embedding queries,
 //!   bit-identical to [`evaluate`]'s offline replay.
 //!
+//! Every trainer runs one protocol around its step loop — split,
+//! static-memory pre-train, negative store, boundary validation,
+//! checkpoints, final test — so `train_distributed` at 1×1×1
+//! reproduces `train_single` bit for bit.
+//!
 //! ## The pipelined batch-prefetch executor
 //!
 //! Mini-batch preparation decomposes into a **memory-independent phase
 //! 1** (neighbor sampling over the immutable T-CSR, negative slicing,
 //! edge-feature and label gathers — [`BatchPreparer::prepare_static`])
 //! and a **memory-dependent phase 2** (the single serialized
-//! node-memory row gather — [`BatchPreparer::finish`]). Phase 1 of
-//! batch *t + 1* runs on a [`BatchPrefetcher`] worker thread while the
-//! trainer computes batch *t* (double buffering: exactly one request
-//! in flight). Phase 2 must observe batch *t*'s `MemoryWrite`; the
-//! single-GPU executor satisfies that *and* still overlaps the gather
-//! through **eager-write scheduling** — the write exists right after
-//! the forward pass ([`TgnModel::train_step_eager_write`]), is applied
-//! immediately (nothing reads memory in between), and the worker then
-//! gathers batch *t + 1*'s rows during the backward pass, exactly. The
-//! distributed trainer prefetches phase 1 per lane and overlaps phase
-//! 2 through the memory daemon's **versioned service**
+//! node-memory row gather — [`BatchPreparer::finish`]). In
+//! `train_distributed`, phase 1 of a lane's next batch runs on a
+//! [`BatchPrefetcher`] worker thread while the lane computes (double
+//! buffering: exactly one request in flight), and phase 2 overlaps
+//! through the memory daemon's **versioned service**
 //! (`TrainConfig::speculative_gather`, default on): the moment phase 1
 //! lands a lane posts a speculative out-of-turn gather, and its
-//! serialized Acquire slot only pays the fused delta repair of rows
+//! serialized Acquire slot only pays the in-place repair of rows
 //! written since — bit-identical by the version contract (see
 //! `disttgl_mem::daemon` and `tests/daemon_overlap_equivalence.rs`).
 //! See [`pipeline`] for the full architecture notes and
 //! `tests/pipeline_equivalence.rs` for the bit-identity proof against
-//! the sequential oracle.
+//! the non-prefetching trainer.
 
 pub mod baseline;
 mod batch;
@@ -63,6 +60,7 @@ mod eval;
 mod metrics;
 mod model;
 pub mod pipeline;
+mod protocol;
 pub mod recover;
 mod sched;
 pub mod serve;
@@ -91,12 +89,10 @@ pub use metrics::{
     TimingBreakdown,
 };
 pub use model::{StepOutput, TgnModel};
-pub use pipeline::{BatchPrefetcher, PrefetchRequest, PrefetchedBatch, SharedMemory};
+pub use pipeline::{BatchPrefetcher, PrefetchRequest};
 pub use recover::{
     train_supervised, CheckpointStore, RecoveryReport, RetryPolicy, SuperviseError, SupervisedRun,
 };
 pub use sched::{GroupSchedule, StepPlan};
-pub use single::{
-    train_single, train_single_pipelined, train_single_pipelined_traced, train_single_traced,
-};
+pub use single::{train_single, train_single_traced};
 pub use static_mem::StaticMemory;

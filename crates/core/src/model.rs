@@ -727,39 +727,6 @@ impl TgnModel {
         neg: Option<&NegativePart>,
         static_mem: Option<&StaticMemory>,
     ) -> StepOutput {
-        self.train_step_impl(pos, neg, static_mem, &mut |w| w)
-    }
-
-    /// [`TgnModel::train_step`] that hands the batch's `MemoryWrite` to
-    /// `sink` as soon as it exists — right after the forward pass,
-    /// before the decoder/backward (the majority of step compute).
-    /// Nothing in the remainder of the step reads node memory, so a
-    /// sink that applies the write immediately is semantically
-    /// identical to applying `StepOutput::write` afterwards — and it
-    /// opens the backward pass as an overlap window for the next
-    /// batch's memory gather (the pipelined executor's phase 2). The
-    /// returned `StepOutput.write` is empty.
-    pub fn train_step_eager_write(
-        &mut self,
-        pos: &PositivePart,
-        neg: Option<&NegativePart>,
-        static_mem: Option<&StaticMemory>,
-        sink: impl FnOnce(MemoryWrite),
-    ) -> StepOutput {
-        let mut sink = Some(sink);
-        self.train_step_impl(pos, neg, static_mem, &mut |w| {
-            (sink.take().expect("write produced once"))(w);
-            MemoryWrite::default()
-        })
-    }
-
-    fn train_step_impl(
-        &mut self,
-        pos: &PositivePart,
-        neg: Option<&NegativePart>,
-        static_mem: Option<&StaticMemory>,
-        write_sink: &mut dyn FnMut(MemoryWrite) -> MemoryWrite,
-    ) -> StepOutput {
         let b = pos.len();
         // Detach the arena so `self` stays borrowable; returned below.
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -773,14 +740,14 @@ impl TgnModel {
             static_mem,
             &mut scratch.pos,
         );
-        let write = write_sink(self.build_write(
+        let write = self.build_write(
             &pos.srcs,
             &pos.dsts,
             &pos.times,
             &pos.event_feats,
             &s_hat_roots,
             &root_ts,
-        ));
+        );
         let src_emb = pos_emb.slice_rows(0, b);
         let dst_emb = pos_emb.slice_rows(b, 2 * b);
 

@@ -1,7 +1,7 @@
-//! The two-stage, double-buffered **pipelined batch-prefetch
-//! executor** (the overlap the paper's throughput figures assume —
-//! "we sample the mini-batch in advance", §4.0.2 — generalized to the
-//! whole preparation phase).
+//! The double-buffered **batch prefetcher** of the distributed trainer
+//! (the overlap the paper's throughput figures assume — "we sample the
+//! mini-batch in advance", §4.0.2 — generalized to the whole
+//! preparation phase; `TrainConfig::pipeline_prefetch`).
 //!
 //! # Phase split
 //!
@@ -34,76 +34,33 @@
 //!
 //! # Overlapping the memory gather (phase 2)
 //!
-//! With [`BatchPrefetcher::spawn_with_memory`] the worker also gathers
-//! batch *t + 1*'s memory rows concurrently with compute of batch *t*,
-//! through a [`SharedMemory`] read lock. Two protocols make that exact:
-//!
-//! * **Eager-write scheduling** (what the single-GPU executor uses):
-//!   the trainer applies batch *t*'s `MemoryWrite` the moment the
-//!   forward pass produces it
-//!   ([`TgnModel::train_step_eager_write`](crate::TgnModel::train_step_eager_write))
-//!   and only then issues the gather request, so the worker reads a
-//!   fully up-to-date state during the backward pass — the bulk of
-//!   step compute — with zero staleness.
-//! * **Speculative gather + repair** (the distributed trainer, against
-//!   the daemon — see `disttgl_mem::daemon`): a version-tagged gather
-//!   is posted out of turn, and the lane's serialized read slot then
-//!   repairs, in place, exactly the rows written since
-//!   ([`disttgl_mem::ReadRequest::Repair`], [`MemoryState::repair`]).
-//!   Note that with most-recent-k sampling on recurrence-heavy
-//!   streams, the written nodes can dominate the next readout (~90%
-//!   of readout rows measured on the Table 2 analogs), making
-//!   eager-write scheduling the profitable protocol whenever the
-//!   write is available early. With the deduplicated readout
-//!   (`ModelConfig::dedup_readout`, default) the gathered block holds
-//!   one row per unique node per part, so a repair rewrites each stale
-//!   node once per part instead of once per occurrence — the repair
-//!   *volume* shrinks by the batch's occurrence/unique row ratio,
-//!   though the stale *fraction* of rows stays high (most unique nodes
-//!   of batch `t + 1` were just written by batch `t`), so the
-//!   eager-write preference stands.
-//!
-//! Requests whose use would cross an epoch reset leave `gather_memory`
-//! off and fall back to the serialized gather.
+//! The distributed trainer also overlaps phase 2, against the memory
+//! daemon (see `disttgl_mem::daemon`): the moment a lane's phase 1
+//! lands it posts a version-tagged **speculative gather** out of turn,
+//! and its serialized read slot then repairs, in place, exactly the
+//! rows written since ([`disttgl_mem::ReadRequest::Repair`],
+//! `MemoryState::repair`). With the deduplicated readout
+//! (`ModelConfig::dedup_readout`, default) the gathered block holds one
+//! row per unique node per part, so a repair rewrites each stale node
+//! once per part instead of once per occurrence.
 //!
 //! # Correctness
 //!
 //! Phase 1 is a pure function of `(dataset, csr, range, negatives)`,
 //! and phase 2 — serialized or speculative-plus-repair — yields the
 //! identical readout in the identical serialized slot as the
-//! sequential path, so the pipelined executor is *bit-identical* to
-//! [`train_single`](crate::train_single) / the non-prefetching
-//! distributed trainer — enforced by the equivalence tests in
-//! `tests/pipeline_equivalence.rs` and by `train_distributed`'s
-//! determinism tests running with prefetch on.
+//! sequential path, so the prefetching distributed trainer is
+//! *bit-identical* to the non-prefetching one — enforced by
+//! `tests/pipeline_equivalence.rs` and `tests/daemon_overlap_equivalence.rs`.
 
 use crate::batch::{BatchPreparer, StaticBatch};
 use crate::config::ModelConfig;
 use disttgl_data::{Dataset, NegativeStore};
 use disttgl_graph::TCsr;
-use disttgl_mem::{MemoryReadout, MemoryState};
 use std::ops::Range;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Node memory shared between a trainer and its prefetch worker for
-/// the overlapped phase-2 gather. The trainer takes the write lock
-/// for `MemoryWrite`s and epoch resets; the worker takes the read lock
-/// only while gathering.
-pub type SharedMemory = Arc<RwLock<MemoryState>>;
-
-/// Ignores lock poisoning: the guarded [`MemoryState`] has no
-/// invariant a panicking reader could have broken mid-update, and a
-/// poisoned trainer panic already aborts the run.
-pub(crate) fn read_lock(mem: &SharedMemory) -> std::sync::RwLockReadGuard<'_, MemoryState> {
-    mem.read().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Write-side counterpart of [`read_lock`].
-pub(crate) fn write_lock(mem: &SharedMemory) -> std::sync::RwLockWriteGuard<'_, MemoryState> {
-    mem.write().unwrap_or_else(|e| e.into_inner())
-}
 
 /// One phase-1 work order: prepare the memory-independent part of the
 /// batch covering `range` with the given pre-sliced negative sets.
@@ -116,23 +73,6 @@ pub struct PrefetchRequest {
     pub negs: Vec<Vec<u32>>,
     /// Negatives per event within each set.
     pub negs_per_event: usize,
-    /// Also gather the node-memory rows from the shared memory (only
-    /// honored by workers spawned with
-    /// [`BatchPrefetcher::spawn_with_memory`]). The gather is exact
-    /// only if no write lands between it and its use — true under
-    /// eager-write scheduling; requests whose use crosses an epoch
-    /// reset must leave this `false`.
-    pub gather_memory: bool,
-}
-
-/// A prefetched batch: phase-1 output plus, when requested, the full
-/// memory readout gathered by the worker (exact under eager-write
-/// scheduling).
-pub struct PrefetchedBatch {
-    /// The memory-independent batch parts.
-    pub sb: StaticBatch,
-    /// Full readout in `sb.nodes()` row order.
-    pub readout: Option<MemoryReadout>,
 }
 
 impl PrefetchRequest {
@@ -159,7 +99,6 @@ impl PrefetchRequest {
             range,
             negs,
             negs_per_event,
-            gather_memory: false,
         }
     }
 }
@@ -171,58 +110,25 @@ impl PrefetchRequest {
 /// order, so responses match requests positionally.
 pub struct BatchPrefetcher {
     req_tx: Option<Sender<PrefetchRequest>>,
-    resp_rx: Receiver<PrefetchedBatch>,
+    resp_rx: Receiver<StaticBatch>,
     handle: Option<JoinHandle<()>>,
     in_flight: usize,
 }
 
 impl BatchPrefetcher {
-    /// Spawns a phase-1-only worker. The worker owns shared handles to
-    /// the immutable dataset and T-CSR — it never touches node memory,
-    /// so responses carry `readout: None`.
+    /// Spawns a phase-1 worker. The worker owns shared handles to the
+    /// immutable dataset and T-CSR; it never touches node memory.
     pub fn spawn(dataset: Arc<Dataset>, csr: Arc<TCsr>, model_cfg: ModelConfig) -> Self {
-        Self::spawn_inner(dataset, csr, model_cfg, None)
-    }
-
-    /// Spawns a worker that additionally serves phase-2 gathers from
-    /// `memory` for requests with `gather_memory: true`. The gather
-    /// runs under the read lock concurrently with trainer compute and
-    /// is exact under eager-write scheduling, the way the single-GPU
-    /// executor uses it.
-    pub fn spawn_with_memory(
-        dataset: Arc<Dataset>,
-        csr: Arc<TCsr>,
-        model_cfg: ModelConfig,
-        memory: SharedMemory,
-    ) -> Self {
-        Self::spawn_inner(dataset, csr, model_cfg, Some(memory))
-    }
-
-    fn spawn_inner(
-        dataset: Arc<Dataset>,
-        csr: Arc<TCsr>,
-        model_cfg: ModelConfig,
-        memory: Option<SharedMemory>,
-    ) -> Self {
         let (req_tx, req_rx) = std::sync::mpsc::channel::<PrefetchRequest>();
-        let (resp_tx, resp_rx) = std::sync::mpsc::channel::<PrefetchedBatch>();
+        let (resp_tx, resp_rx) = std::sync::mpsc::channel::<StaticBatch>();
         let handle = std::thread::Builder::new()
             .name("disttgl-prefetch".into())
             .spawn(move || {
                 let prep = BatchPreparer::new(&dataset, csr.as_ref(), &model_cfg);
                 while let Ok(req) = req_rx.recv() {
-                    let wants_readout = req.gather_memory;
                     let neg_refs: Vec<&[u32]> = req.negs.iter().map(Vec::as_slice).collect();
                     let sb = prep.prepare_static(req.range, &neg_refs, req.negs_per_event);
-                    // The eager-write consumer never repairs this
-                    // gather (it is exact by scheduling), so skip the
-                    // version tagging; daemon-path speculation attaches
-                    // its own tagged readout later.
-                    let readout = match (&memory, wants_readout) {
-                        (Some(mem), true) => Some(read_lock(mem).read(sb.nodes())),
-                        _ => None,
-                    };
-                    if resp_tx.send(PrefetchedBatch { sb, readout }).is_err() {
+                    if resp_tx.send(sb).is_err() {
                         // Trainer hung up; drain and exit.
                         break;
                     }
@@ -251,7 +157,7 @@ impl BatchPrefetcher {
     ///
     /// # Panics
     /// Panics if no request is in flight or the worker died.
-    pub fn recv(&mut self) -> PrefetchedBatch {
+    pub fn recv(&mut self) -> StaticBatch {
         assert!(self.in_flight > 0, "recv without a pending prefetch");
         let resp = self.resp_rx.recv().expect("prefetch worker died");
         self.in_flight -= 1;
@@ -266,7 +172,7 @@ impl BatchPrefetcher {
     ///
     /// # Panics
     /// Panics if the worker died.
-    pub fn try_recv(&mut self) -> Option<PrefetchedBatch> {
+    pub fn try_recv(&mut self) -> Option<StaticBatch> {
         if self.in_flight == 0 {
             return None;
         }
@@ -360,23 +266,20 @@ mod tests {
             range: ranges[0].clone(),
             negs: Vec::new(),
             negs_per_event: 1,
-            gather_memory: false,
         });
         for (idx, range) in ranges.iter().enumerate() {
-            let resp = prefetcher.recv();
-            assert!(resp.readout.is_none(), "phase-1-only worker");
+            let sb = prefetcher.recv();
             if idx + 1 < ranges.len() {
                 prefetcher.request(PrefetchRequest {
                     range: ranges[idx + 1].clone(),
                     negs: Vec::new(),
                     negs_per_event: 1,
-                    gather_memory: false,
                 });
             }
             let inline = prep.prepare_static(range.clone(), &[], 1);
             let mut mem_a = MemoryState::new(d.graph.num_nodes(), cfg.d_mem, cfg.mail_dim());
             let mut mem_b = MemoryState::new(d.graph.num_nodes(), cfg.d_mem, cfg.mail_dim());
-            let a = prep.finish(resp.sb, &mut mem_a);
+            let a = prep.finish(sb, &mut mem_a);
             let b = prep.finish(inline, &mut mem_b);
             assert_eq!(a.pos.srcs, b.pos.srcs, "range {range:?}");
             assert_eq!(
@@ -401,7 +304,6 @@ mod tests {
             range: 0..8,
             negs: Vec::new(),
             negs_per_event: 1,
-            gather_memory: false,
         });
         // A write lands *after* the prefetch was issued…
         let node = d.graph.events()[0].src;
@@ -414,7 +316,7 @@ mod tests {
         };
         MemoryAccess::write(&mut mem, w);
         // …and phase 2 must observe it.
-        let batch = prep.finish(prefetcher.recv().sb, &mut mem);
+        let batch = prep.finish(prefetcher.recv(), &mut mem);
         let row = batch
             .pos
             .srcs
@@ -443,7 +345,6 @@ mod tests {
                 range: start..start + 32,
                 negs: Vec::new(),
                 negs_per_event: 1,
-                gather_memory: false,
             });
         }
         drop(prefetcher);
@@ -483,43 +384,27 @@ mod tests {
     #[test]
     fn stale_gather_plus_patch_equals_serialized_read() {
         let (d, csr, cfg) = setup();
-        let shared: SharedMemory = Arc::new(RwLock::new(MemoryState::new(
-            d.graph.num_nodes(),
-            cfg.d_mem,
-            cfg.mail_dim(),
-        )));
+        let mut mem = MemoryState::new(d.graph.num_nodes(), cfg.d_mem, cfg.mail_dim());
         // Pre-populate a few rows so unwritten rows are non-trivial.
         let seed_nodes: Vec<u32> = (0..8).map(|i| d.graph.events()[i].dst).collect();
-        {
-            let mut guard = crate::pipeline::write_lock(&shared);
-            let n = seed_nodes.len();
-            guard.write(&disttgl_mem::MemoryWrite {
-                nodes: seed_nodes,
-                mem: disttgl_tensor::Matrix::full(n, cfg.d_mem, 0.125),
-                mem_ts: vec![0.5; n],
-                mail: disttgl_tensor::Matrix::full(n, cfg.mail_dim(), 0.25),
-                mail_ts: vec![0.5; n],
-            });
-        }
+        let n = seed_nodes.len();
+        mem.write(&disttgl_mem::MemoryWrite {
+            nodes: seed_nodes,
+            mem: disttgl_tensor::Matrix::full(n, cfg.d_mem, 0.125),
+            mem_ts: vec![0.5; n],
+            mail: disttgl_tensor::Matrix::full(n, cfg.mail_dim(), 0.25),
+            mail_ts: vec![0.5; n],
+        });
 
-        let mut prefetcher = BatchPrefetcher::spawn_with_memory(
-            Arc::clone(&d),
-            Arc::clone(&csr),
-            cfg.clone(),
-            Arc::clone(&shared),
-        );
+        let mut prefetcher = BatchPrefetcher::spawn(Arc::clone(&d), Arc::clone(&csr), cfg.clone());
         prefetcher.request(PrefetchRequest {
             range: 0..24,
             negs: Vec::new(),
             negs_per_event: 1,
-            gather_memory: true,
         });
-        let mut resp = prefetcher.recv();
-        // Nothing is written between the worker's gather and here, so
-        // the live version vector is the one the gather saw.
-        let versions = crate::pipeline::read_lock(&shared)
-            .read_versioned(resp.sb.nodes())
-            .versions;
+        let sb = prefetcher.recv();
+        // The stale tagged gather, taken before the write.
+        let mut tagged = mem.read_versioned(sb.nodes());
         // The racing write: batch-0-style roots updated after the
         // speculative gather. Raw write-order node list: unsorted,
         // with duplicates — exactly what `MemoryWrite::nodes` looks
@@ -527,24 +412,19 @@ mod tests {
         let written: Vec<u32> = (0..6)
             .flat_map(|i| [d.graph.events()[i].src, d.graph.events()[i].src])
             .collect();
-        {
-            let mut guard = crate::pipeline::write_lock(&shared);
-            let n = written.len();
-            guard.write(&disttgl_mem::MemoryWrite {
-                nodes: written,
-                mem: disttgl_tensor::Matrix::full(n, cfg.d_mem, 0.75),
-                mem_ts: vec![2.0; n],
-                mail: disttgl_tensor::Matrix::full(n, cfg.mail_dim(), 1.5),
-                mail_ts: vec![2.0; n],
-            });
-        }
+        let n = written.len();
+        mem.write(&disttgl_mem::MemoryWrite {
+            nodes: written,
+            mem: disttgl_tensor::Matrix::full(n, cfg.d_mem, 0.75),
+            mem_ts: vec![2.0; n],
+            mail: disttgl_tensor::Matrix::full(n, cfg.mail_dim(), 1.5),
+            mail_ts: vec![2.0; n],
+        });
 
-        let mut full = resp.readout.take().expect("gathered readout");
-        let guard = crate::pipeline::read_lock(&shared);
-        let outcome = guard.repair(resp.sb.nodes(), &versions, &mut full, 0);
+        let full = &mut tagged.readout;
+        let outcome = mem.repair(sb.nodes(), &tagged.versions, full, 0);
         assert!(outcome.repaired > 0, "write set must intersect the batch");
-        let serialized = guard.read(resp.sb.nodes());
-        drop(guard);
+        let serialized = mem.read(sb.nodes());
         assert_eq!(full.mem, serialized.mem);
         assert_eq!(full.mail, serialized.mail);
         assert_eq!(full.mem_ts, serialized.mem_ts);

@@ -1,6 +1,7 @@
-//! Quick diagnostic: preparation share of a training step across
-//! dataset/model combinations — the overlap ceiling of the pipelined
-//! executor is `1 / (1 - prep_share)`.
+//! Quick diagnostic: preparation share of a `train_single` step across
+//! dataset/model combinations — the most that overlapping batch
+//! preparation with compute (as `train_distributed`'s
+//! `pipeline_prefetch` does) could gain is `1 / (1 - prep_share)`.
 //!
 //! ```sh
 //! cargo run --release --example prep_share

@@ -9,8 +9,25 @@ use disttgl::core::{
 };
 use disttgl::data::{generators, NegativeStore};
 use disttgl::graph::TCsr;
-use disttgl::mem::{MemoryDaemon, MemoryState};
+use disttgl::mem::{
+    MemoryClient, MemoryDaemon, MemoryReadout, MemoryState, MemoryWrite, ReadRequest,
+};
 use disttgl::tensor::seeded_rng;
+
+/// The daemon client as plain memory access: full reads in the rank's
+/// read turn. A daemon failure fails the test.
+struct ClientAccess<'a>(&'a mut MemoryClient);
+
+impl MemoryAccess for ClientAccess<'_> {
+    fn read_into(&mut self, nodes: &[u32], out: &mut MemoryReadout) {
+        self.0
+            .read(ReadRequest::Full(nodes.to_vec()), out)
+            .expect("memory daemon read");
+    }
+    fn write(&mut self, w: MemoryWrite) {
+        self.0.write(w).expect("memory daemon write");
+    }
+}
 
 fn tiny_model(d_edge: usize) -> ModelConfig {
     let mut mc = ModelConfig::compact(d_edge);
@@ -63,15 +80,16 @@ fn daemon_path_matches_direct_path() {
         1,
     );
     let mut client = daemon.client(0);
+    let mut access = ClientAccess(&mut client);
     let mut losses_b = Vec::new();
     for s in 0..steps {
         let range = s * bs..(s + 1) * bs;
         let negs = store.slice(0, range.clone());
-        let batch = prep.prepare(range, &[negs], 1, &mut client);
+        let batch = prep.prepare(range, &[negs], 1, &mut access);
         model_b.params.zero_grads();
         let out = model_b.train_step(&batch.pos, Some(&batch.negs[0]), None);
         adam_b.step(&mut model_b.params);
-        MemoryAccess::write(&mut client, out.write);
+        access.write(out.write);
         losses_b.push(out.loss);
     }
     let (final_state, stats) = daemon.join();

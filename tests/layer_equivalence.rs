@@ -2,7 +2,7 @@
 //!
 //! * **`n_layers = 1` is the historical model.** The stacked
 //!   forward/backward with one layer must be bit-identical across
-//!   executors (sequential, pipelined, distributed) with
+//!   executors (sequential, distributed) with
 //!   `dedup_readout` and `speculative_gather` both on and off — the
 //!   same invariants the pre-refactor suites pin, re-asserted here
 //!   against the layer-stack code path, including through an
@@ -14,8 +14,8 @@
 
 use disttgl::cluster::ClusterSpec;
 use disttgl::core::{
-    train_distributed, train_single, train_single_pipelined_traced, train_single_traced,
-    BatchPreparer, MemoryAccess, ModelConfig, ParallelConfig, TgnModel, TrainConfig,
+    train_distributed, train_single, train_single_traced, BatchPreparer, MemoryAccess, ModelConfig,
+    ParallelConfig, TgnModel, TrainConfig,
 };
 use disttgl::data::{generators, NegativeStore};
 use disttgl::graph::TCsr;
@@ -43,9 +43,9 @@ fn quick_cfg(parallel: ParallelConfig, epochs: usize) -> TrainConfig {
 }
 
 /// `n_layers = 1`, spelled both implicitly (the default) and as an
-/// explicit one-entry fanout vector, across the sequential and
-/// pipelined executors, with dedup on and off: every variant must be
-/// bit-identical in losses, metrics, and final memory digests.
+/// explicit one-entry fanout vector, with dedup on and off: every
+/// variant must be bit-identical in losses, metrics, and final memory
+/// digests.
 #[test]
 fn one_layer_stack_is_bit_identical_across_executors_and_flags() {
     let d = generators::wikipedia(0.005, 411);
@@ -63,11 +63,6 @@ fn one_layer_stack_is_bit_identical_across_executors_and_flags() {
         ),
     ] {
         let (run, mem) = train_single_traced(&d, &mc, &cfg);
-        let (piped, piped_mem) = train_single_pipelined_traced(&d, &mc, &cfg);
-        // Pipelined ≡ sequential for the same config, bit for bit.
-        assert_eq!(run.loss_history, piped.loss_history, "{label}: pipelined");
-        assert_eq!(run.test_metric, piped.test_metric, "{label}: pipelined");
-        assert_eq!(mem.checksum(), piped_mem.checksum(), "{label}: memory");
         if mc.dedup_readout {
             // Same math as the default-config run, bit for bit.
             assert_eq!(run.loss_history, seq.loss_history, "{label}: losses");

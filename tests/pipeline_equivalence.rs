@@ -1,16 +1,12 @@
 //! The pipelined batch-prefetch executor must be *numerically
-//! identical* to the sequential reference trainer: same losses, same
-//! metrics, same final node-memory state. Phase 1 is a pure function
-//! and phase 2 keeps the serialized read in its original slot, so any
-//! divergence here is a bug, not noise — all comparisons are exact.
+//! identical* to the non-prefetching trainer: same losses, same
+//! metrics, same daemon traffic. Phase 1 is a pure function and phase
+//! 2 keeps the serialized read in its original slot, so any divergence
+//! here is a bug, not noise — all comparisons are exact.
 
 use disttgl::cluster::ClusterSpec;
-use disttgl::core::{
-    train_distributed, train_single_pipelined_traced, train_single_traced, ModelConfig,
-    ParallelConfig, TrainConfig,
-};
+use disttgl::core::{train_distributed, ModelConfig, ParallelConfig, TrainConfig};
 use disttgl::data::generators;
-use disttgl::mem::MemoryState;
 
 fn tiny_model(d_edge: usize) -> ModelConfig {
     let mut mc = ModelConfig::compact(d_edge);
@@ -20,66 +16,6 @@ fn tiny_model(d_edge: usize) -> ModelConfig {
     mc.n_neighbors = 5;
     mc.static_memory = false;
     mc
-}
-
-fn quick_cfg(epochs: usize) -> TrainConfig {
-    let mut cfg = TrainConfig::new(ParallelConfig::single());
-    cfg.local_batch = 100;
-    cfg.epochs = epochs;
-    cfg.eval_negs = 9;
-    cfg.seed = 11;
-    cfg.base_lr = 1.2e-2;
-    cfg
-}
-
-fn assert_memory_identical(a: &MemoryState, b: &MemoryState) {
-    assert_eq!(a.num_nodes(), b.num_nodes());
-    let all: Vec<u32> = (0..a.num_nodes() as u32).collect();
-    let ra = a.read(&all);
-    let rb = b.read(&all);
-    assert_eq!(ra.mem, rb.mem, "node memory diverged");
-    assert_eq!(ra.mem_ts, rb.mem_ts, "memory timestamps diverged");
-    assert_eq!(ra.mail, rb.mail, "mails diverged");
-    assert_eq!(ra.mail_ts, rb.mail_ts, "mail timestamps diverged");
-}
-
-/// Link prediction: losses, metrics, and final memory must match the
-/// sequential oracle bit for bit.
-#[test]
-fn pipelined_matches_sequential_link_prediction() {
-    let d = generators::wikipedia(0.006, 211);
-    let mc = tiny_model(d.edge_features.cols());
-    let cfg = quick_cfg(3);
-
-    let (seq, seq_mem) = train_single_traced(&d, &mc, &cfg);
-    let (pipe, pipe_mem) = train_single_pipelined_traced(&d, &mc, &cfg);
-
-    assert!(!seq.loss_history.is_empty());
-    assert_eq!(seq.loss_history, pipe.loss_history, "loss history diverged");
-    assert_eq!(seq.test_metric, pipe.test_metric, "test metric diverged");
-    assert_eq!(seq.convergence.len(), pipe.convergence.len());
-    for (a, b) in seq.convergence.iter().zip(&pipe.convergence) {
-        assert_eq!(a.iteration, b.iteration);
-        assert_eq!(a.metric, b.metric, "validation metric diverged");
-    }
-    assert_memory_identical(&seq_mem, &pipe_mem);
-}
-
-/// Edge classification (no negative store — the empty-negatives code
-/// path through the pipeline).
-#[test]
-fn pipelined_matches_sequential_edge_classification() {
-    let d = generators::gdelt(2.5e-5, 212);
-    let mc = tiny_model(d.edge_features.cols()).with_classes(d.num_classes());
-    let cfg = quick_cfg(2);
-
-    let (seq, seq_mem) = train_single_traced(&d, &mc, &cfg);
-    let (pipe, pipe_mem) = train_single_pipelined_traced(&d, &mc, &cfg);
-
-    assert!(!seq.loss_history.is_empty());
-    assert_eq!(seq.loss_history, pipe.loss_history, "loss history diverged");
-    assert_eq!(seq.test_metric, pipe.test_metric, "test metric diverged");
-    assert_memory_identical(&seq_mem, &pipe_mem);
 }
 
 /// The distributed trainer must produce identical results with the
@@ -105,17 +41,4 @@ fn distributed_prefetch_on_off_identical() {
     assert_eq!(on.test_metric, off.test_metric, "test metric diverged");
     assert_eq!(on.daemon_rows_read, off.daemon_rows_read);
     assert_eq!(on.daemon_rows_written, off.daemon_rows_written);
-}
-
-/// Zero-epoch runs (no batches at all) must not deadlock the
-/// prefetcher or diverge.
-#[test]
-fn pipelined_handles_zero_epochs() {
-    let d = generators::mooc(0.002, 214);
-    let mc = tiny_model(0);
-    let cfg = quick_cfg(0);
-    let (seq, _) = train_single_traced(&d, &mc, &cfg);
-    let (pipe, _) = train_single_pipelined_traced(&d, &mc, &cfg);
-    assert_eq!(seq.loss_history, pipe.loss_history);
-    assert_eq!(seq.test_metric, pipe.test_metric);
 }
