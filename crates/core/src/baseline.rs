@@ -217,7 +217,7 @@ pub fn train_tgn(dataset: &Dataset, model_cfg: &ModelConfig, cfg: &TrainConfig) 
             };
             let prepared = naive_prepare(
                 dataset,
-                setup.csr.as_ref(),
+                &setup.csr,
                 model_cfg,
                 range.clone(),
                 &negs_opt,

@@ -60,7 +60,7 @@ use disttgl_mem::{
     MemoryWrite, ReadRequest, VersionedReadout,
 };
 use disttgl_tensor::Matrix;
-use std::sync::Arc;
+use std::thread::Scope;
 use std::time::Instant;
 
 /// Wraps the daemon client to meter read-wait time (the daemon overlap
@@ -242,9 +242,6 @@ pub fn train_distributed(
         .collect();
 
     let comm_group = CommunicatorGroup::new(spec, NetworkModel::t4_testbed());
-    // The prefetch workers outlive any borrow, so they share an owned copy.
-    let prefetch_dataset: Arc<Dataset> = Arc::new(dataset.clone());
-
     // Every lane computes at once, so each gets an equal share of the
     // cores as its intra-op budget (1 whenever lanes ≥ cores).
     let lane_budget = (host_cores() / world).max(1);
@@ -261,14 +258,13 @@ pub fn train_distributed(
                     comm: comm_group.communicator(rank),
                     daemons: &daemons,
                     setup: &setup,
-                    prefetch_dataset: Arc::clone(&prefetch_dataset),
                     schedule: schedules[group].clone(),
                     start,
                 };
                 std::thread::Builder::new()
                     .name(format!("disttgl-trainer-{rank}"))
                     .spawn_scoped(s, move || {
-                        disttgl_tensor::par::with_budget(lane_budget, || trainer_main(ctx))
+                        disttgl_tensor::par::with_budget(lane_budget, || trainer_main(ctx, s))
                     })
                     .expect("spawn trainer")
             })
@@ -319,7 +315,6 @@ struct TrainerCtx<'a> {
     comm: Communicator,
     daemons: &'a [MemoryDaemon],
     setup: &'a RunSetup<'a>,
-    prefetch_dataset: Arc<Dataset>,
     schedule: GroupSchedule,
     start: Instant,
 }
@@ -334,7 +329,9 @@ fn empty_write(model_cfg: &ModelConfig) -> MemoryWrite {
     }
 }
 
-fn trainer_main(ctx: TrainerCtx<'_>) -> TrainerReturn {
+/// One lane's step loop. Its prefetch worker runs on `scope`, the
+/// scope of the trainer threads, so it borrows the dataset and T-CSR.
+fn trainer_main<'s>(ctx: TrainerCtx<'s>, scope: &'s Scope<'s, '_>) -> TrainerReturn {
     let TrainerCtx {
         rank,
         group,
@@ -343,7 +340,6 @@ fn trainer_main(ctx: TrainerCtx<'_>) -> TrainerReturn {
         comm,
         daemons,
         setup,
-        prefetch_dataset,
         schedule,
         start,
     } = ctx;
@@ -366,7 +362,7 @@ fn trainer_main(ctx: TrainerCtx<'_>) -> TrainerReturn {
     let my_crash = faults.lane_crash_at(rank);
     let spec_delay = faults.speculation_delay(rank).unwrap_or(0);
 
-    let prep = BatchPreparer::new(setup.dataset, setup.csr.as_ref(), model_cfg);
+    let prep = BatchPreparer::new(setup.dataset, &setup.csr, model_cfg);
 
     // Identical seeded init — or identical restored state — on every
     // replica (equivalent to broadcast).
@@ -440,8 +436,7 @@ fn trainer_main(ctx: TrainerCtx<'_>) -> TrainerReturn {
     let mut next_acquire = resume_idx; // next acquire_plan entry to execute
     let mut next_request = resume_idx; // next entry whose phase 1 is unrequested
     let mut prefetcher = if cfg.pipeline_prefetch && resume_idx < acquire_plan.len() {
-        let mut p =
-            BatchPrefetcher::spawn(prefetch_dataset, Arc::clone(&setup.csr), model_cfg.clone());
+        let mut p = BatchPrefetcher::spawn(scope, setup.dataset, &setup.csr, model_cfg.clone());
         p.request(request_for(resume_idx));
         next_request = resume_idx + 1;
         Some(p)

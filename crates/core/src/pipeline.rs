@@ -59,8 +59,7 @@ use disttgl_data::{Dataset, NegativeStore};
 use disttgl_graph::TCsr;
 use std::ops::Range;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// One phase-1 work order: prepare the memory-independent part of the
 /// batch covering `range` with the given pre-sliced negative sets.
@@ -108,23 +107,28 @@ impl PrefetchRequest {
 /// Keeps at most a small number of requests in flight (the executor
 /// uses exactly one — double buffering); requests complete in FIFO
 /// order, so responses match requests positionally.
-pub struct BatchPrefetcher {
+pub struct BatchPrefetcher<'scope> {
     req_tx: Option<Sender<PrefetchRequest>>,
     resp_rx: Receiver<StaticBatch>,
-    handle: Option<JoinHandle<()>>,
+    handle: Option<ScopedJoinHandle<'scope, ()>>,
     in_flight: usize,
 }
 
-impl BatchPrefetcher {
-    /// Spawns a phase-1 worker. The worker owns shared handles to the
+impl<'scope> BatchPrefetcher<'scope> {
+    /// Spawns a phase-1 worker on `scope`. The worker borrows the
     /// immutable dataset and T-CSR; it never touches node memory.
-    pub fn spawn(dataset: Arc<Dataset>, csr: Arc<TCsr>, model_cfg: ModelConfig) -> Self {
+    pub fn spawn(
+        scope: &'scope Scope<'scope, '_>,
+        dataset: &'scope Dataset,
+        csr: &'scope TCsr,
+        model_cfg: ModelConfig,
+    ) -> Self {
         let (req_tx, req_rx) = std::sync::mpsc::channel::<PrefetchRequest>();
         let (resp_tx, resp_rx) = std::sync::mpsc::channel::<StaticBatch>();
         let handle = std::thread::Builder::new()
             .name("disttgl-prefetch".into())
-            .spawn(move || {
-                let prep = BatchPreparer::new(&dataset, csr.as_ref(), &model_cfg);
+            .spawn_scoped(scope, move || {
+                let prep = BatchPreparer::new(dataset, csr, &model_cfg);
                 while let Ok(req) = req_rx.recv() {
                     let neg_refs: Vec<&[u32]> = req.negs.iter().map(Vec::as_slice).collect();
                     let sb = prep.prepare_static(req.range, &neg_refs, req.negs_per_event);
@@ -192,7 +196,7 @@ impl BatchPrefetcher {
     }
 }
 
-impl Drop for BatchPrefetcher {
+impl Drop for BatchPrefetcher<'_> {
     fn drop(&mut self) {
         // Closing the request channel stops the worker loop.
         drop(self.req_tx.take());
@@ -215,18 +219,18 @@ mod tests {
     use disttgl_data::generators;
     use disttgl_mem::MemoryState;
 
-    fn setup() -> (Arc<Dataset>, Arc<TCsr>, ModelConfig) {
+    fn setup() -> (Dataset, TCsr, ModelConfig) {
         let d = generators::wikipedia(0.005, 3);
         let csr = TCsr::build(&d.graph);
         let cfg = ModelConfig::compact(d.edge_features.cols());
-        (Arc::new(d), Arc::new(csr), cfg)
+        (d, csr, cfg)
     }
 
     /// Phase-split composition must equal the one-shot path exactly.
     #[test]
     fn split_prepare_matches_one_shot() {
         let (d, csr, cfg) = setup();
-        let prep = BatchPreparer::new(&d, csr.as_ref(), &cfg);
+        let prep = BatchPreparer::new(&d, &csr, &cfg);
         let negs: Vec<u32> = (0..32).map(|i| d.graph.events()[i].dst).collect();
 
         let mut mem_a = MemoryState::new(d.graph.num_nodes(), cfg.d_mem, cfg.mail_dim());
@@ -258,37 +262,39 @@ mod tests {
     #[test]
     fn prefetcher_is_fifo_and_exact() {
         let (d, csr, cfg) = setup();
-        let prep = BatchPreparer::new(&d, csr.as_ref(), &cfg);
-        let mut prefetcher = BatchPrefetcher::spawn(Arc::clone(&d), Arc::clone(&csr), cfg.clone());
+        let prep = BatchPreparer::new(&d, &csr, &cfg);
+        std::thread::scope(|s| {
+            let mut prefetcher = BatchPrefetcher::spawn(s, &d, &csr, cfg.clone());
 
-        let ranges = [0usize..16, 16..48, 48..50];
-        prefetcher.request(PrefetchRequest {
-            range: ranges[0].clone(),
-            negs: Vec::new(),
-            negs_per_event: 1,
-        });
-        for (idx, range) in ranges.iter().enumerate() {
-            let sb = prefetcher.recv();
-            if idx + 1 < ranges.len() {
-                prefetcher.request(PrefetchRequest {
-                    range: ranges[idx + 1].clone(),
-                    negs: Vec::new(),
-                    negs_per_event: 1,
-                });
+            let ranges = [0usize..16, 16..48, 48..50];
+            prefetcher.request(PrefetchRequest {
+                range: ranges[0].clone(),
+                negs: Vec::new(),
+                negs_per_event: 1,
+            });
+            for (idx, range) in ranges.iter().enumerate() {
+                let sb = prefetcher.recv();
+                if idx + 1 < ranges.len() {
+                    prefetcher.request(PrefetchRequest {
+                        range: ranges[idx + 1].clone(),
+                        negs: Vec::new(),
+                        negs_per_event: 1,
+                    });
+                }
+                let inline = prep.prepare_static(range.clone(), &[], 1);
+                let mut mem_a = MemoryState::new(d.graph.num_nodes(), cfg.d_mem, cfg.mail_dim());
+                let mut mem_b = MemoryState::new(d.graph.num_nodes(), cfg.d_mem, cfg.mail_dim());
+                let a = prep.finish(sb, &mut mem_a);
+                let b = prep.finish(inline, &mut mem_b);
+                assert_eq!(a.pos.srcs, b.pos.srcs, "range {range:?}");
+                assert_eq!(
+                    a.pos.readout.to_readout().mem,
+                    b.pos.readout.to_readout().mem
+                );
+                assert_eq!(a.pos.event_feats, b.pos.event_feats);
             }
-            let inline = prep.prepare_static(range.clone(), &[], 1);
-            let mut mem_a = MemoryState::new(d.graph.num_nodes(), cfg.d_mem, cfg.mail_dim());
-            let mut mem_b = MemoryState::new(d.graph.num_nodes(), cfg.d_mem, cfg.mail_dim());
-            let a = prep.finish(sb, &mut mem_a);
-            let b = prep.finish(inline, &mut mem_b);
-            assert_eq!(a.pos.srcs, b.pos.srcs, "range {range:?}");
-            assert_eq!(
-                a.pos.readout.to_readout().mem,
-                b.pos.readout.to_readout().mem
-            );
-            assert_eq!(a.pos.event_feats, b.pos.event_feats);
-        }
-        assert_eq!(prefetcher.in_flight(), 0);
+            assert_eq!(prefetcher.in_flight(), 0);
+        });
     }
 
     /// Reads served through `finish` observe writes applied after the
@@ -296,42 +302,44 @@ mod tests {
     #[test]
     fn finish_sees_writes_issued_after_prefetch() {
         let (d, csr, cfg) = setup();
-        let prep = BatchPreparer::new(&d, csr.as_ref(), &cfg);
-        let mut prefetcher = BatchPrefetcher::spawn(Arc::clone(&d), Arc::clone(&csr), cfg.clone());
-        let mut mem = MemoryState::new(d.graph.num_nodes(), cfg.d_mem, cfg.mail_dim());
+        let prep = BatchPreparer::new(&d, &csr, &cfg);
+        std::thread::scope(|s| {
+            let mut prefetcher = BatchPrefetcher::spawn(s, &d, &csr, cfg.clone());
+            let mut mem = MemoryState::new(d.graph.num_nodes(), cfg.d_mem, cfg.mail_dim());
 
-        prefetcher.request(PrefetchRequest {
-            range: 0..8,
-            negs: Vec::new(),
-            negs_per_event: 1,
+            prefetcher.request(PrefetchRequest {
+                range: 0..8,
+                negs: Vec::new(),
+                negs_per_event: 1,
+            });
+            // A write lands *after* the prefetch was issued…
+            let node = d.graph.events()[0].src;
+            let w = disttgl_mem::MemoryWrite {
+                nodes: vec![node],
+                mem: disttgl_tensor::Matrix::full(1, cfg.d_mem, 0.5),
+                mem_ts: vec![1.0],
+                mail: disttgl_tensor::Matrix::full(1, cfg.mail_dim(), 0.25),
+                mail_ts: vec![1.0],
+            };
+            MemoryAccess::write(&mut mem, w);
+            // …and phase 2 must observe it.
+            let batch = prep.finish(prefetcher.recv(), &mut mem);
+            let row = batch
+                .pos
+                .srcs
+                .iter()
+                .position(|&n| n == node)
+                .expect("event 0's src is a root");
+            // Dedup is on by default: map the occurrence row to its
+            // unique readout row.
+            let vrow = batch
+                .pos
+                .uniq
+                .as_ref()
+                .map_or(row, |u| u.occ_to_unique[row] as usize);
+            assert_eq!(batch.pos.readout.mem_row(vrow)[0], 0.5);
+            assert_eq!(batch.pos.readout.mail_ts(vrow), 1.0);
         });
-        // A write lands *after* the prefetch was issued…
-        let node = d.graph.events()[0].src;
-        let w = disttgl_mem::MemoryWrite {
-            nodes: vec![node],
-            mem: disttgl_tensor::Matrix::full(1, cfg.d_mem, 0.5),
-            mem_ts: vec![1.0],
-            mail: disttgl_tensor::Matrix::full(1, cfg.mail_dim(), 0.25),
-            mail_ts: vec![1.0],
-        };
-        MemoryAccess::write(&mut mem, w);
-        // …and phase 2 must observe it.
-        let batch = prep.finish(prefetcher.recv(), &mut mem);
-        let row = batch
-            .pos
-            .srcs
-            .iter()
-            .position(|&n| n == node)
-            .expect("event 0's src is a root");
-        // Dedup is on by default: map the occurrence row to its
-        // unique readout row.
-        let vrow = batch
-            .pos
-            .uniq
-            .as_ref()
-            .map_or(row, |u| u.occ_to_unique[row] as usize);
-        assert_eq!(batch.pos.readout.mem_row(vrow)[0], 0.5);
-        assert_eq!(batch.pos.readout.mail_ts(vrow), 1.0);
     }
 
     /// Dropping with requests in flight must not deadlock or leak the
@@ -339,15 +347,17 @@ mod tests {
     #[test]
     fn drop_with_in_flight_requests_is_clean() {
         let (d, csr, cfg) = setup();
-        let mut prefetcher = BatchPrefetcher::spawn(d, csr, cfg);
-        for start in [0usize, 32, 64] {
-            prefetcher.request(PrefetchRequest {
-                range: start..start + 32,
-                negs: Vec::new(),
-                negs_per_event: 1,
-            });
-        }
-        drop(prefetcher);
+        std::thread::scope(|s| {
+            let mut prefetcher = BatchPrefetcher::spawn(s, &d, &csr, cfg);
+            for start in [0usize, 32, 64] {
+                prefetcher.request(PrefetchRequest {
+                    range: start..start + 32,
+                    negs: Vec::new(),
+                    negs_per_event: 1,
+                });
+            }
+            drop(prefetcher);
+        });
     }
 
     /// The version-tagged repair path for a prefetched batch: a stale
@@ -356,7 +366,7 @@ mod tests {
     #[test]
     fn attach_and_repair_with_delta_matches_serialized() {
         let (d, csr, cfg) = setup();
-        let prep = BatchPreparer::new(&d, csr.as_ref(), &cfg);
+        let prep = BatchPreparer::new(&d, &csr, &cfg);
         let mut mem = MemoryState::new(d.graph.num_nodes(), cfg.d_mem, cfg.mail_dim());
         let sb = prep.prepare_static(0..16, &[], 1);
         // Speculative gather, then a racing write.
@@ -396,13 +406,15 @@ mod tests {
             mail_ts: vec![0.5; n],
         });
 
-        let mut prefetcher = BatchPrefetcher::spawn(Arc::clone(&d), Arc::clone(&csr), cfg.clone());
-        prefetcher.request(PrefetchRequest {
-            range: 0..24,
-            negs: Vec::new(),
-            negs_per_event: 1,
+        let sb = std::thread::scope(|s| {
+            let mut prefetcher = BatchPrefetcher::spawn(s, &d, &csr, cfg.clone());
+            prefetcher.request(PrefetchRequest {
+                range: 0..24,
+                negs: Vec::new(),
+                negs_per_event: 1,
+            });
+            prefetcher.recv()
         });
-        let sb = prefetcher.recv();
         // The stale tagged gather, taken before the write.
         let mut tagged = mem.read_versioned(sb.nodes());
         // The racing write: batch-0-style roots updated after the

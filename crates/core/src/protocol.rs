@@ -24,7 +24,6 @@ use disttgl_mem::MemoryState;
 use disttgl_nn::Adam;
 use disttgl_tensor::seeded_rng;
 use disttgl_tensor::timing::{self, KernelTimings};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The cores this process may run on (1 when unknown, or when pinned
@@ -39,7 +38,7 @@ pub(crate) struct RunSetup<'a> {
     pub(crate) dataset: &'a Dataset,
     pub(crate) model_cfg: &'a ModelConfig,
     pub(crate) cfg: &'a TrainConfig,
-    pub(crate) csr: Arc<TCsr>,
+    pub(crate) csr: TCsr,
     /// End of the training split (exclusive).
     pub(crate) train_end: usize,
     /// End of the validation split (exclusive); the test split follows.
@@ -68,7 +67,7 @@ impl<'a> RunSetup<'a> {
             dataset,
             model_cfg,
             cfg,
-            csr: Arc::new(TCsr::build(&dataset.graph)),
+            csr: TCsr::build(&dataset.graph),
             train_end,
             val_end,
             resume: None,
@@ -162,7 +161,7 @@ impl<'a> RunSetup<'a> {
             model,
             self.model_cfg,
             self.dataset,
-            self.csr.as_ref(),
+            &self.csr,
             memory,
             self.static_mem.as_ref(),
             self.train_end..eval_end,
@@ -186,7 +185,7 @@ impl<'a> RunSetup<'a> {
                 model,
                 self.model_cfg,
                 self.dataset,
-                self.csr.as_ref(),
+                &self.csr,
                 memory,
                 self.static_mem.as_ref(),
                 self.train_end..self.val_end,
@@ -202,7 +201,7 @@ impl<'a> RunSetup<'a> {
             model,
             self.model_cfg,
             self.dataset,
-            self.csr.as_ref(),
+            &self.csr,
             memory,
             self.static_mem.as_ref(),
             self.val_end..test_end,

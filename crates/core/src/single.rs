@@ -47,7 +47,7 @@ fn train_loop(
     assert_eq!(cfg.parallel.world(), 1, "train_single requires 1×1×1");
     let setup = RunSetup::new(dataset, model_cfg, cfg);
     let (mut model, mut adam) = setup.model();
-    let prep = BatchPreparer::new(dataset, setup.csr.as_ref(), model_cfg);
+    let prep = BatchPreparer::new(dataset, &setup.csr, model_cfg);
     let mut memory = model_cfg.new_memory(dataset.graph.num_nodes());
     let batches = batching::chronological_batches(0..setup.train_end, cfg.local_batch);
 

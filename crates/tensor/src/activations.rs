@@ -61,13 +61,13 @@ impl Matrix {
 
     /// In-place row-wise softmax.
     ///
-    /// Per row: a laned max reduction ([`kernels::row_max`]; the
-    /// `±0.0` lane ambiguity is output-safe since `x − (+0.0)` and
-    /// `x − (−0.0)` are bit-equal), a scalar exp pass accumulating
-    /// the normalizer in the fixed 8-lane structure, then a
-    /// vectorized scale. The exp stays scalar in every build — there
-    /// is no bit-exact vector exp — so SIMD-on and SIMD-off outputs
-    /// are identical.
+    /// Per row: a laned max reduction ([`kernels::row_max`]; which
+    /// zero it returns for a `±0.0` row is fixed, and output-safe
+    /// anyway since `x − (+0.0)` and `x − (−0.0)` are bit-equal), a
+    /// scalar exp pass accumulating the normalizer in the fixed 8-lane
+    /// structure, then a vectorized scale. The exp stays scalar in
+    /// every build — there is no bit-exact vector exp — so SIMD-on and
+    /// SIMD-off outputs are identical.
     pub fn softmax_rows_inplace(&mut self) {
         let c = self.cols();
         if c == 0 {

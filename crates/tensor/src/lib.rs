@@ -32,13 +32,15 @@
 //! tail; matmul variants accumulate each output element in ascending
 //! inner-index order regardless of cache blocking. Which thread
 //! computes an element is free, so the intra-op budget never changes
-//! a bit. The AVX2 tier in
-//! [`kernels`] maps those lanes 1:1 onto `__m256` registers (multiply
-//! then add, never fused), so **SIMD-on and SIMD-off runs are
-//! bit-identical** — toggling the `simd` feature, running on a CPU
-//! without AVX2, or setting `DISTTGL_SIMD=0` reproduces the exact
-//! same training trajectory. The cross-executor equivalence suites in
-//! `disttgl-core` rely on this contract.
+//! a bit. In [`kernels`] the elementwise kernels and `row_max` have
+//! one body each, which the compiler builds a second time for AVX2;
+//! only `dot` and the two GEMM bodies keep hand-written AVX2 twins,
+//! which map those lanes 1:1 onto `__m256` registers (multiply then
+//! add, never fused). So **SIMD-on and SIMD-off runs are
+//! bit-identical** — running on a CPU without AVX2, setting
+//! `DISTTGL_SIMD=0`, or calling [`kernels::force_scalar`] reproduces
+//! the exact same training trajectory. The cross-executor equivalence
+//! suites in `disttgl-core` rely on this contract.
 //!
 //! ## Quantized memory: recoverable, not exact
 //!
